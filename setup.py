@@ -1,20 +1,17 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``absynth-repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that the package can be installed in editable mode on environments whose
-``setuptools`` predates PEP 660 editable-wheel support (no ``wheel`` package
-available offline), via ``pip install -e . --no-use-pep517``.
+Install in editable mode with ``pip install -e .`` (or ``pip install -e .
+--no-use-pep517`` where ``setuptools`` predates PEP 660 editable wheels).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
 setup(
-    extras_require={
-        # Optional native LP backend: enables the warm-started persistent
-        # HiGHS solver session (``repro.core.lpsession.HighsSession``,
-        # selected via ``--solver highs`` or resolved by ``auto``).  Without
-        # it the always-available SciPy ``linprog`` path answers every
-        # solve, byte-identically.
-        "highs": ["highspy>=1.7"],
-    },
+    name="absynth-repro",
+    version="1.0.0",
+    description="Expected-cost bound analysis for probabilistic programs "
+                "(reproduction of PLDI 2018 'Bounded Expectations')",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
 )

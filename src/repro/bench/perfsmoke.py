@@ -11,11 +11,9 @@ compare against a committed baseline::
     python -m repro.bench.perfsmoke --programs 'C4B_*' rdwalk
     python -m repro.bench.perfsmoke --workers 4          # + parallel pass
     python -m repro.bench.perfsmoke --group all --escalation   # degree reuse
-    python -m repro.bench.perfsmoke --escalation --solver highs  # LP warm-start
     python -m repro.bench.perfsmoke --sampler          # sampler throughput
     python -m repro.bench.perfsmoke --domain polyhedra   # other backend
     python -m repro.bench.perfsmoke --compare-domains    # fm vs polyhedra
-    python -m repro.bench.perfsmoke --prefilter-compare  # interval tier gate
     python -m repro.bench.perfsmoke --chaos            # fault-recovery gate
     python -m repro.bench.perfsmoke --serve            # gateway load bench
     python -m repro.bench.perfsmoke --lint             # diagnostics sweep
@@ -31,6 +29,13 @@ sequential ``total_wall_seconds``, giving the speedup in one file.
 ``--check <baseline.json>`` exits non-zero when any program regressed by
 more than 25% wall time (and more than an absolute noise floor) against
 the baseline, which makes the runner usable as a CI gate.
+
+Every run gates the interval pre-filter tier (:mod:`repro.logic.intervals`)
+on the sequential pass's own counters: the tier must decide at least
+``PREFILTER_MIN_HIT_RATE`` of the queries that reach it (the would-be
+exact-backend queries), recorded as ``entailment_cache.interval_hit_rate``.
+The gate is skipped when the tier is off (``$REPRO_PREFILTER=off``, the
+test-oracle switch) or no query reached it (a warm process).
 
 ``--sampler`` adds a sampler-throughput section: the rdwalk n=100 cost
 histogram (Figure 8 left, paper-scale run count) is sampled through both
@@ -58,14 +63,6 @@ underlying analysis and every storm client saw a byte-identical result.
 With ``--check``, hot-tier throughput is additionally gated against the
 baseline's.
 
-``--prefilter-compare`` adds an interval pre-filter section: the suite is
-re-timed cold twice -- interval tier (:mod:`repro.logic.intervals`) on and
-off -- recording per-tier hit counts, the interval-tier hit rate and the
-wall delta under ``prefilter_compare``, asserting bound identity between
-the legs.  The pass fails when the tier decides less than
-``PREFILTER_MIN_HIT_RATE`` of the queries that reach it (the would-be
-exact-backend queries).
-
 ``--lint`` adds a static-diagnostics sweep: every selected benchmark is
 linted through :func:`repro.lang.analysis.lint_program` exactly the way
 the analyzer's pre-flight gate does it (main parameters plus the declared
@@ -88,11 +85,12 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
+# Importing the LP stack (scipy, ~0.7 s) here keeps that one-time cost out
+# of the first program's timed wall.
+import repro.core.solver  # noqa: F401
 from repro.bench.registry import select_benchmarks
 from repro.bench.reporting import render_table
 from repro.core.analyzer import analyze_program
-from repro.core.lpsession import (force_cold_solves, resolve_solver_backend,
-                                  solver_choices)
 from repro.logic.entailment import (active_prefilter, available_domains,
                                     get_engine, resolve_domain)
 
@@ -110,21 +108,15 @@ REGRESSION_FLOOR_SECONDS = 0.05
 #: the gate meaningful without flaking on slow runners.
 SAMPLER_MIN_SPEEDUP = 5.0
 
-#: LP warm-starting gate: on the native ``highs`` backend the escalation
-#: pass's warm solve walls must beat the forced-cold reference solves by at
-#: least this factor.  Applied automatically only when the resolved solver
-#: is ``highs`` -- the SciPy fallback has no warm path, so its numbers are
-#: recorded without a floor.
-ESCALATION_MIN_SOLVE_SPEEDUP = 1.3
 #: The Figure 8 histogram run count (paper scale).
 SAMPLER_RUNS = 10_000
 
-#: Interval pre-filter gate: with ``--prefilter-compare``, the interval
-#: tier (:mod:`repro.logic.intervals`) must decide at least this fraction
-#: of the queries that fall through the memo and syntactic tiers -- i.e.
-#: of the queries that would otherwise hit the exact backend.  Measured
-#: well above this on the Table 1 suite; the floor keeps the tier honest
-#: without flaking on suite composition changes.
+#: Interval pre-filter gate: on the sequential pass, the interval tier
+#: (:mod:`repro.logic.intervals`) must decide at least this fraction of the
+#: queries that fall through the memo and syntactic tiers -- i.e. of the
+#: queries that would otherwise hit the exact backend.  Measured well above
+#: this on the Table 1 suite; the floor keeps the tier honest without
+#: flaking on suite composition changes.
 PREFILTER_MIN_HIT_RATE = 0.5
 
 #: Pre-flight lint gate: with ``--check``, the full static-diagnostics
@@ -164,9 +156,7 @@ def run_suite(group: str = "linear",
               sampler: bool = False,
               sampler_runs: int = SAMPLER_RUNS,
               domain: Optional[str] = None,
-              solver: Optional[str] = None,
               compare_domains: bool = False,
-              prefilter_compare: bool = False,
               chaos: bool = False,
               serve: bool = False,
               lint: bool = False) -> Dict[str, object]:
@@ -182,18 +172,12 @@ def run_suite(group: str = "linear",
     bounds are identical to the cold run's.
 
     ``domain`` selects the abstract-domain backend timed by the main pass
-    (recorded as the report's ``domain`` field); ``solver`` the LP backend
-    selector (the *resolved* backend lands in the report's ``solver``
-    field); ``compare_domains=True`` re-times the suite's entailment load
-    once per registered backend and records the per-domain walls and engine
-    counters under ``domains``, asserting bound identity across backends
-    along the way; ``prefilter_compare=True`` re-times the suite cold with
-    the interval pre-filter tier on and off, recording per-tier hit
-    counts, the interval-tier hit rate and the wall delta under
-    ``prefilter`` (bounds asserted identical between the legs).
+    (recorded as the report's ``domain`` field); ``compare_domains=True``
+    re-times the suite's entailment load once per registered backend and
+    records the per-domain walls and engine counters under ``domains``,
+    asserting bound identity across backends along the way.
     """
     domain = resolve_domain(domain)
-    resolved_solver = resolve_solver_backend(solver)
     engine = get_engine(domain)
     benchmarks = _select(group, programs, limit)
     rows: List[Dict[str, object]] = []
@@ -205,8 +189,7 @@ def run_suite(group: str = "linear",
         before = engine.stats.snapshot()
         start = time.perf_counter()
         result = analyze_program(program, **{**bench.analyzer_options,
-                                             "domain": domain,
-                                             "solver": solver})
+                                             "domain": domain})
         wall = time.perf_counter() - start
         delta = engine.stats.delta(before)
         answered = (delta["memo_hits"] + delta["fast_hits"]
@@ -252,8 +235,7 @@ def run_suite(group: str = "linear",
 
     escalation_summary: Optional[Dict[str, object]] = None
     if escalation:
-        escalation_summary = _escalation_pass(benchmarks, rows, domain,
-                                              solver=solver)
+        escalation_summary = _escalation_pass(benchmarks, rows, domain)
 
     sampler_summary: Optional[Dict[str, object]] = None
     if sampler:
@@ -262,10 +244,6 @@ def run_suite(group: str = "linear",
     domain_summary: Optional[Dict[str, object]] = None
     if compare_domains:
         domain_summary = _domain_comparison_pass(benchmarks)
-
-    prefilter_summary: Optional[Dict[str, object]] = None
-    if prefilter_compare:
-        prefilter_summary = _prefilter_comparison_pass(benchmarks, domain)
 
     chaos_summary: Optional[Dict[str, object]] = None
     if chaos:
@@ -291,8 +269,6 @@ def run_suite(group: str = "linear",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "domain": domain,
-        "solver": resolved_solver,
-        "prefilter": active_prefilter(),
         "workers": workers,
         "total_wall_seconds": round(total_wall, 3),
         "suite_wall_parallel": suite_wall_parallel,
@@ -300,7 +276,6 @@ def run_suite(group: str = "linear",
         "escalation": escalation_summary,
         "sampler": sampler_summary,
         "domains": domain_summary,
-        "prefilter_compare": prefilter_summary,
         "chaos": chaos_summary,
         "serve": serve_summary,
         "lint": lint_summary,
@@ -332,51 +307,33 @@ def _parallel_pass(benchmarks, rows: List[Dict[str, object]],
 
 
 def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
-                     domain: str,
-                     solver: Optional[str] = None) -> Dict[str, object]:
+                     domain: str) -> Dict[str, object]:
     """Measure incremental vs rebuild degree escalation per benchmark.
 
     For every benchmark whose target degree is >= 2 the program is analyzed
     in escalation mode (``max_degree=1`` with auto-retry up to the target):
 
     * *incremental* -- one analysis; the retry extends the degree-1
-      derivation/LP in place (the pipeline of ``repro.core.pipeline``) and
-      the persistent LP session (``repro.core.lpsession``) warm-starts
-      every solve from the previous stage's simplex basis;
+      derivation/LP in place (the pipeline of ``repro.core.pipeline``);
     * *rebuild* -- what the analyzer did before the incremental pipeline:
       a full fresh analysis per attempted degree (degree 1, then the
-      target degree from scratch), run under
-      :func:`~repro.core.lpsession.force_cold_solves` so every LP goes
-      through the from-scratch ``linprog`` reference path.
+      target degree from scratch).
 
-    The wall split separates build from solve: ``solve_wall_warm`` is the
-    incremental run's LP time (session-warm where the backend supports it)
-    and ``solve_wall_cold`` the rebuild runs' forced-cold LP time --
-    ``solve_speedup`` is the LP warm-starting win the
-    ``--escalation-min-solve-speedup`` gate enforces on the ``highs``
-    backend.  Session counters (``warm_solves``/``cold_solves``/
-    ``basis_reuses``/``solver_fallbacks``) come from the incremental run's
-    :class:`~repro.core.pipeline.PipelineStats`.
+    ``cold_solves`` counts the incremental run's LP solves (from its
+    :class:`~repro.core.pipeline.PipelineStats`).
 
     Programs that already succeed at degree 1 are skipped (nothing
     escalates).  For the rest the escalated bound is asserted identical to
     the sequential pass's cold bound -- the identity guarantee of the
-    incremental pipeline *and* of the warm LP session -- and the
-    per-program walls, speedup and ``escalation_reuse_ratio`` are recorded
-    on the row.
+    incremental pipeline -- and the per-program walls, speedup and
+    ``escalation_reuse_ratio`` are recorded on the row.
     """
     summary = {"programs": 0, "wall_incremental": 0.0, "wall_rebuild": 0.0,
                "speedup": None, "mean_reuse_ratio": None,
-               "identity_checked": 0,
-               "solver": resolve_solver_backend(solver),
-               "solve_wall_warm": 0.0, "solve_wall_cold": 0.0,
-               "solve_speedup": None,
-               "warm_solves": 0, "cold_solves": 0, "basis_reuses": 0,
-               "solver_fallbacks": 0}
+               "identity_checked": 0, "cold_solves": 0}
     reuse_ratios: List[float] = []
     for bench, row in zip(benchmarks, rows):
-        options = {**bench.analyzer_options, "domain": domain,
-                   "solver": solver}
+        options = {**bench.analyzer_options, "domain": domain}
         target = int(options.get("max_degree", 1))
         if target < 2:
             continue
@@ -389,12 +346,10 @@ def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
         if incremental.degree < target:
             continue  # degree 1 already succeeds: no escalation to measure
         start = time.perf_counter()
-        with force_cold_solves():
-            cold_low = analyze_program(program, **{**options, "max_degree": 1,
-                                                   "auto_degree": False})
-            cold = analyze_program(program, **{**options,
-                                               "max_degree": target,
-                                               "auto_degree": False})
+        analyze_program(program, **{**options, "max_degree": 1,
+                                    "auto_degree": False})
+        analyze_program(program, **{**options, "max_degree": target,
+                                    "auto_degree": False})
         wall_rebuild = time.perf_counter() - start
         incremental_bound = (incremental.bound.pretty()
                              if incremental.bound else None)
@@ -409,48 +364,24 @@ def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
         reuse = stats.escalation_reuse_ratio if stats else None
         if reuse is not None:
             reuse_ratios.append(reuse)
-        # The incremental run solves the degree-1 attempt too, so the cold
-        # side sums both rebuild analyses' LP walls for a like-for-like
-        # comparison.
-        solve_warm = stats.solve_seconds_total() if stats else 0.0
-        solve_cold = sum(result.stats.solve_seconds_total()
-                         for result in (cold_low, cold) if result.stats)
         row["escalation"] = {
             "wall_incremental": round(wall_incremental, 4),
             "wall_rebuild": round(wall_rebuild, 4),
             "speedup": (round(wall_rebuild / wall_incremental, 2)
                         if wall_incremental > 0 else None),
             "reuse_ratio": reuse,
-            "solver": stats.solver_backend if stats else None,
-            "solve_wall_warm": round(solve_warm, 4),
-            "solve_wall_cold": round(solve_cold, 4),
-            "solve_speedup": (round(solve_cold / solve_warm, 2)
-                              if solve_warm > 0 else None),
-            "warm_solves": stats.warm_solves if stats else 0,
             "cold_solves": stats.cold_solves if stats else 0,
-            "basis_reuses": stats.basis_reuses if stats else 0,
-            "solver_fallbacks": stats.solver_fallbacks if stats else 0,
         }
         summary["programs"] += 1
         summary["wall_incremental"] += wall_incremental
         summary["wall_rebuild"] += wall_rebuild
-        summary["solve_wall_warm"] += solve_warm
-        summary["solve_wall_cold"] += solve_cold
         if stats:
-            summary["warm_solves"] += stats.warm_solves
             summary["cold_solves"] += stats.cold_solves
-            summary["basis_reuses"] += stats.basis_reuses
-            summary["solver_fallbacks"] += stats.solver_fallbacks
     summary["wall_incremental"] = round(summary["wall_incremental"], 3)
     summary["wall_rebuild"] = round(summary["wall_rebuild"], 3)
-    summary["solve_wall_warm"] = round(summary["solve_wall_warm"], 3)
-    summary["solve_wall_cold"] = round(summary["solve_wall_cold"], 3)
     if summary["wall_incremental"] > 0:
         summary["speedup"] = round(
             summary["wall_rebuild"] / summary["wall_incremental"], 2)
-    if summary["solve_wall_warm"] > 0:
-        summary["solve_speedup"] = round(
-            summary["solve_wall_cold"] / summary["solve_wall_warm"], 2)
     if reuse_ratios:
         summary["mean_reuse_ratio"] = round(
             sum(reuse_ratios) / len(reuse_ratios), 4)
@@ -515,77 +446,6 @@ def _domain_comparison_pass(benchmarks) -> Dict[str, object]:
             "programs": program_rows,
         }
     return comparison
-
-
-def _prefilter_comparison_pass(benchmarks,
-                               domain: Optional[str] = None
-                               ) -> Dict[str, object]:
-    """Time the suite cold with the interval pre-filter on and off.
-
-    Two legs over the selected benchmarks -- interval tier enabled, then
-    disabled -- each from a fresh engine and cleared rewrite memos, so the
-    walls measure the tier doing (or not doing) the full query load.  The
-    per-leg tier hit counts, the interval-tier hit rate (the fraction of
-    memo/syntactic misses the tier decided -- the number the
-    ``PREFILTER_MIN_HIT_RATE`` gate enforces) and the wall delta land in
-    the report.  Bounds are asserted identical between the legs: the tier
-    only answers when it provably matches the exact backend, so any
-    divergence is a soundness bug worth failing the run for.
-    """
-    from repro.core.rewrite import clear_rewrite_caches
-    from repro.logic.entailment import reset_engine
-
-    domain = resolve_domain(domain)
-    legs: Dict[str, Dict[str, object]] = {}
-    reference_bounds: Dict[str, Optional[str]] = {}
-    for enabled in (True, False):
-        label = "on" if enabled else "off"
-        engine = reset_engine(domain)
-        clear_rewrite_caches()
-        before = engine.stats.snapshot()
-        start = time.perf_counter()
-        for bench in benchmarks:
-            program = bench.build()
-            result = analyze_program(program, **{**bench.analyzer_options,
-                                                 "domain": domain,
-                                                 "prefilter": enabled})
-            bound = result.bound.pretty() if result.bound else None
-            if bench.name in reference_bounds \
-                    and reference_bounds[bench.name] != bound:
-                raise AssertionError(
-                    f"prefilter bound mismatch for {bench.name}: "
-                    f"prefilter={label} found {bound!r} vs "
-                    f"{reference_bounds[bench.name]!r}")
-            reference_bounds.setdefault(bench.name, bound)
-        total_wall = time.perf_counter() - start
-        delta = engine.stats.delta(before)
-        answered = (delta["memo_hits"] + delta["fast_hits"]
-                    + delta["interval_hits"])
-        reached = delta["interval_hits"] + delta["misses"]
-        legs[label] = {
-            "total_wall_seconds": round(total_wall, 3),
-            "queries": delta["queries"],
-            "eliminations": delta["eliminations"],
-            "tiers": {
-                "memo": delta["memo_hits"],
-                "syntactic": delta["fast_hits"],
-                "interval": delta["interval_hits"],
-                "exact": delta["misses"],
-            },
-            "hit_rate": (round(answered / delta["queries"], 4)
-                         if delta["queries"] else None),
-            "interval_hit_rate": (round(delta["interval_hits"] / reached, 4)
-                                  if reached else None),
-        }
-    wall_on = legs["on"]["total_wall_seconds"]
-    wall_off = legs["off"]["total_wall_seconds"]
-    return {
-        "domain": domain,
-        "on": legs["on"],
-        "off": legs["off"],
-        "wall_delta_seconds": round(wall_off - wall_on, 3),
-        "speedup": round(wall_off / wall_on, 3) if wall_on else None,
-    }
 
 
 def _chaos_pass(benchmarks, workers: int = 2,
@@ -1100,36 +960,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--domain", choices=available_domains(), default=None,
                         help="abstract-domain backend timed by the main "
                              "pass (default: $REPRO_DOMAIN or fm)")
-    parser.add_argument("--solver", choices=solver_choices(), default=None,
-                        help="LP solver backend selector timed by the run "
-                             "(default: $REPRO_SOLVER or auto); the "
-                             "resolved backend lands in the report's "
-                             "'solver' field")
-    parser.add_argument("--escalation-min-solve-speedup", type=float,
-                        default=None,
-                        help="fail when the escalation pass's warm-vs-cold "
-                             "LP solve-wall speedup drops below this factor "
-                             "(default: "
-                             f"{ESCALATION_MIN_SOLVE_SPEEDUP} when the "
-                             "resolved solver is highs, record-only on "
-                             "scipy)")
     parser.add_argument("--compare-domains", action="store_true",
                         help="also time the suite once per registered "
                              "backend (fm vs polyhedra), record per-domain "
                              "entailment counters and assert bound identity")
-    parser.add_argument("--prefilter-compare", action="store_true",
-                        help="also time the suite cold with the interval "
-                             "pre-filter tier on and off, record per-tier "
-                             "hit counts and the wall delta, assert bound "
-                             "identity between the legs, and fail unless "
-                             "the tier decides at least "
-                             f"{PREFILTER_MIN_HIT_RATE:.0%} of the queries "
-                             "that reach it")
-    parser.add_argument("--prefilter-min-hit-rate", type=float,
-                        default=PREFILTER_MIN_HIT_RATE,
-                        help="interval-tier hit-rate floor for "
-                             "--prefilter-compare (fraction of memo/"
-                             "syntactic misses the tier must decide)")
     parser.add_argument("--chaos", action="store_true",
                         help="also run the fault-recovery gate: re-run the "
                              "suite with deterministic worker crashes "
@@ -1195,9 +1029,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_suite(args.group, args.limit, programs=args.programs,
                        workers=args.workers, escalation=args.escalation,
                        sampler=args.sampler, sampler_runs=args.sampler_runs,
-                       domain=args.domain, solver=args.solver,
+                       domain=args.domain,
                        compare_domains=args.compare_domains,
-                       prefilter_compare=args.prefilter_compare,
                        chaos=args.chaos, serve=args.serve, lint=args.lint)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
@@ -1208,7 +1041,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\ntotal: {report['total_wall_seconds']:.2f}s over "
               f"{len(report['programs'])} programs; cache hit rate "
               f"{cache['hit_rate']:.1%} ({cache['queries']} queries, "
-              f"{cache['eliminations']} eliminations)")
+              f"{cache['eliminations']} eliminations); interval tier "
+              f"decided {cache['interval_hit_rate']:.1%} of the queries "
+              "reaching it")
         if report["suite_wall_parallel"] is not None:
             speedup = report["parallel_speedup"]
             print(f"parallel ({report['workers']} workers): "
@@ -1223,16 +1058,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"(speedup {escalation['speedup']:.2f}x, mean reuse "
                   f"{escalation['mean_reuse_ratio']:.1%}, "
                   f"{escalation['identity_checked']} bound identities checked)")
-            solve_speedup = escalation.get("solve_speedup")
-            print(f"LP warm-starting [{escalation['solver']}]: solve walls "
-                  f"warm {escalation['solve_wall_warm']:.2f}s vs cold "
-                  f"{escalation['solve_wall_cold']:.2f}s"
-                  + (f" (speedup {solve_speedup:.2f}x)"
-                     if solve_speedup is not None else "")
-                  + f"; {escalation['warm_solves']} warm / "
-                  f"{escalation['cold_solves']} cold solves, "
-                  f"{escalation['basis_reuses']} basis reuses, "
-                  f"{escalation['solver_fallbacks']} fallbacks")
         domain_report = report.get("domains")
         if domain_report:
             for name, summary in domain_report.items():
@@ -1241,20 +1066,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"{summary['eliminations']} eliminations"
                       + (f", hit rate {summary['hit_rate']:.1%}"
                          if summary["hit_rate"] is not None else ""))
-        prefilter_report = report.get("prefilter_compare")
-        if prefilter_report:
-            on = prefilter_report["on"]
-            off = prefilter_report["off"]
-            rate = on["interval_hit_rate"]
-            print(f"prefilter [{prefilter_report['domain']}]: on "
-                  f"{on['total_wall_seconds']:.2f}s vs off "
-                  f"{off['total_wall_seconds']:.2f}s; interval tier "
-                  f"decided {on['tiers']['interval']} of "
-                  f"{on['tiers']['interval'] + on['tiers']['exact']} "
-                  "tier-reaching queries"
-                  + (f" (hit rate {rate:.1%})" if rate is not None else "")
-                  + f", {off['eliminations'] - on['eliminations']} "
-                  "eliminations avoided")
         chaos_report = report.get("chaos")
         if chaos_report:
             if "skipped" in chaos_report:
@@ -1314,31 +1125,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 1
 
-    prefilter_report = report.get("prefilter_compare")
-    if prefilter_report is not None:
-        rate = prefilter_report["on"]["interval_hit_rate"]
-        if rate is None or rate < args.prefilter_min_hit_rate:
+    cache = report["entailment_cache"]
+    if active_prefilter() and cache["interval_hits"] + cache["misses"]:
+        rate = cache["interval_hit_rate"]
+        if rate < PREFILTER_MIN_HIT_RATE:
             print(f"interval pre-filter gate FAILED: tier hit rate "
-                  f"{rate} < required {args.prefilter_min_hit_rate:.0%} "
+                  f"{rate} < required {PREFILTER_MIN_HIT_RATE:.0%} "
                   "of tier-reaching queries", file=sys.stderr)
             return 1
-
-    escalation_report = report.get("escalation")
-    if escalation_report and escalation_report["programs"]:
-        required = args.escalation_min_solve_speedup
-        if required is None \
-                and escalation_report.get("solver") == "highs":
-            # The native backend must earn its keep; the SciPy fallback has
-            # no warm path, so its split is recorded without a floor.
-            required = ESCALATION_MIN_SOLVE_SPEEDUP
-        if required is not None:
-            solve_speedup = escalation_report.get("solve_speedup")
-            if solve_speedup is None or solve_speedup < required:
-                print(f"LP warm-starting gate FAILED: warm-vs-cold solve "
-                      f"speedup {solve_speedup} < required {required}x "
-                      f"on the {escalation_report.get('solver')} backend",
-                      file=sys.stderr)
-                return 1
 
     if baseline is not None:
         lint_report = report.get("lint")
@@ -1370,18 +1164,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             for line in regressions:
                 print(f"  - {line}", file=sys.stderr)
             return 1
+        escalation_report = report.get("escalation")
         base_escalation = baseline.get("escalation")
         if escalation_report and escalation_report["programs"] \
                 and base_escalation and base_escalation.get("speedup"):
-            baseline_solver = baseline.get("solver")
-            if baseline_solver is not None \
-                    and baseline_solver != report["solver"]:
-                # Same reasoning as the domain guard: comparing warm-start
-                # numbers across LP backends would gate apples on oranges.
-                print(f"cannot --check escalation: report solved with "
-                      f"{report['solver']!r} but baseline {args.check!r} "
-                      f"with {baseline_solver!r}", file=sys.stderr)
-                return 2
             fresh_speedup = escalation_report.get("speedup")
             base_speedup = base_escalation["speedup"]
             if fresh_speedup is not None \

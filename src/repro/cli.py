@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.registry import benchmark_names
 from repro.core.analyzer import analyze_program
-from repro.core.lpsession import solver_choices
 from repro.logic.entailment import available_domains
 from repro.core.certificates import check_certificate
 from repro.exitcodes import (EXIT_ANALYSIS_ERROR, EXIT_CERTIFICATE_ERROR,
@@ -81,9 +80,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     options = {"max_degree": args.degree, "auto_degree": not args.no_auto_degree,
-               "domain": args.domain, "solver": args.solver}
-    if args.prefilter is not None:
-        options["prefilter"] = args.prefilter == "on"
+               "domain": args.domain}
     if args.counter:
         options["resource_counter"] = args.counter
     if args.degree_limit is not None:
@@ -216,8 +213,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         forwarded.extend(["--workers", str(args.workers)])
     if args.domain is not None:
         forwarded.extend(["--domain", args.domain])
-    if args.solver is not None:
-        forwarded.extend(["--solver", args.solver])
     return table1.main(forwarded)
 
 
@@ -395,9 +390,12 @@ def _collect_batch_jobs(targets: Sequence[str],
             raise SystemExit(str(exc.args[0] if exc.args else exc))
         jobs.extend(job_from_benchmark(benchmark) for benchmark in benchmarks)
     if extra_options:
-        jobs = [AnalysisJob.create(job.name, job.source,
-                                   {**job.options_dict, **extra_options})
-                for job in jobs]
+        try:
+            jobs = [AnalysisJob.create(job.name, job.source,
+                                       {**job.options_dict, **extra_options})
+                    for job in jobs]
+        except ValueError as exc:
+            raise SystemExit(f"bad batch options: {exc}")
     return jobs
 
 
@@ -415,12 +413,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # Part of every job's content hash: results computed under one
         # abstract domain are never served to the other.
         extra_options["domain"] = args.domain
-    if args.solver is not None:
-        # The LP backend selector is hashed the same way (see SCHEMA v5).
-        extra_options["solver"] = args.solver
-    if args.prefilter is not None:
-        # Observational, but stamped into the job hash (SCHEMA v7).
-        extra_options["prefilter"] = args.prefilter == "on"
     jobs = _collect_batch_jobs(args.targets, extra_options)
     if not jobs:
         raise SystemExit("nothing to analyze")
@@ -478,10 +470,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_options["degree_limit"] = args.degree_limit
     if args.domain is not None:
         default_options["domain"] = args.domain
-    if args.solver is not None:
-        default_options["solver"] = args.solver
-    if args.prefilter is not None:
-        default_options["prefilter"] = args.prefilter == "on"
     if args.async_gateway:
         from repro.service import gateway
         from repro.service.retry import RetryPolicy
@@ -599,15 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--domain", choices=available_domains(), default=None,
                          help="abstract-domain backend for entailment "
                               "queries (default: $REPRO_DOMAIN or fm)")
-    analyze.add_argument("--prefilter", choices=("on", "off"), default=None,
-                         help="interval pre-filter tier in front of the "
-                              "exact domain; bounds are identical either "
-                              "way (default: $REPRO_PREFILTER or on)")
-    analyze.add_argument("--solver", choices=solver_choices(), default=None,
-                         help="LP solver backend: auto picks the native "
-                              "warm-started highs session when highspy is "
-                              "installed, scipy otherwise (default: "
-                              "$REPRO_SOLVER or auto)")
     analyze.set_defaults(func=_cmd_analyze)
 
     simulate = subparsers.add_parser("simulate", help="estimate the expected cost by sampling")
@@ -665,9 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--domain", choices=available_domains(), default=None,
                        help="abstract-domain backend for the analyses "
                             "(default: $REPRO_DOMAIN or fm)")
-    bench.add_argument("--solver", choices=solver_choices(), default=None,
-                       help="LP solver backend selector for the analyses "
-                            "(default: $REPRO_SOLVER or auto)")
     bench.set_defaults(func=_cmd_bench)
 
     batch = subparsers.add_parser(
@@ -695,14 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--domain", choices=available_domains(), default=None,
                        help="abstract-domain backend for every job (part "
                             "of the cache key; default: $REPRO_DOMAIN or fm)")
-    batch.add_argument("--prefilter", choices=("on", "off"), default=None,
-                       help="interval pre-filter tier for every job (part "
-                            "of the cache key; default: $REPRO_PREFILTER "
-                            "or on)")
-    batch.add_argument("--solver", choices=solver_choices(), default=None,
-                       help="LP solver backend selector for every job (part "
-                            "of the cache key; default: $REPRO_SOLVER or "
-                            "auto)")
     batch.add_argument("--json", default=None,
                        help="also write the full result records to this file")
     batch.add_argument("--quiet", action="store_true")
@@ -733,14 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--domain", choices=available_domains(), default=None,
                        help="default abstract-domain backend for requests "
                             "that do not set one (part of the job hash)")
-    serve.add_argument("--prefilter", choices=("on", "off"), default=None,
-                       help="default interval pre-filter setting for "
-                            "requests that do not set one (part of the "
-                            "job hash)")
-    serve.add_argument("--solver", choices=solver_choices(), default=None,
-                       help="default LP solver backend selector for "
-                            "requests that do not set one (part of the "
-                            "job hash)")
     serve.add_argument("--async", dest="async_gateway", action="store_true",
                        help="run the concurrent TCP gateway (JSON lines, "
                             "request coalescing, tiered cache, "

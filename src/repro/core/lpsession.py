@@ -1,127 +1,28 @@
-"""Persistent, warm-started LP solver sessions (paper Sec. 5, incremental CLP).
+"""The LP session: one solver front over a growing assembled system.
 
 Absynth drives one CLP instance *incrementally*: the base constraint matrix
-is loaded once, each stage of the iterative objective scheme only adds its
-objective-fixing row, and every solve starts from the previous solve's
-simplex basis.  The staged pipeline (:mod:`repro.core.pipeline`) already
+is loaded once and each stage of the iterative objective scheme only adds
+its objective-fixing row.  The staged pipeline (:mod:`repro.core.pipeline`)
 grows the :class:`~repro.core.solver.AssembledSystem` append-only across
-degree escalations -- exactly the access pattern warm-starting was built
-for -- but SciPy's ``linprog`` has no incremental API, so every solve was
-still cold.  This module closes that gap:
+degree escalations, and :class:`LPSession` lives alongside it in the
+pipeline's ``AnalysisState``, surviving objective stages *and* degree
+escalations.
 
-* :class:`LPSession` -- one solver instance owned by the pipeline's
-  ``AnalysisState``, surviving objective stages *and* degree escalations.
-  Stage rows (:meth:`LPSession.fix_objective`) and extension deltas
-  (:meth:`LPSession.apply_extension`) mutate the live model instead of
-  re-stacking matrices.
-* :class:`ScipySession` -- the always-available fallback: each solve calls
-  ``linprog`` on matrices served by the (extras-cached)
-  :meth:`~repro.core.solver.AssembledSystem.matrices`, byte-identical to
-  the pre-session code path.
-* :class:`HighsSession` -- the native backend behind the optional
-  ``highspy`` dependency: the model lives inside one ``Highs`` instance,
-  rows/columns are added in place, and each solve re-uses the previous
-  basis (HiGHS hot-starts automatically on incremental modification).
-  Any doubtful outcome -- a non-optimal/non-infeasible status, a solution
-  violating the assembled constraints beyond the snap tolerance, or an
-  unexpected ``highspy`` error -- triggers an automatic **cold re-solve**
-  through the SciPy reference path, so a warm session can degrade but
-  never diverge silently.
-
-Backends register in the :data:`SOLVER_BACKENDS` registry (mirroring the
-``DomainBackend`` registry of :mod:`repro.logic.entailment`); ``"auto"``
-resolves to ``highs`` when ``highspy`` imports and ``scipy`` otherwise.
-The correctness pin is the same as PR 3's: warm-started runs must produce
-byte-identical bounds and certificates to cold runs registry-wide
-(``tests/test_lpsession.py``).
+Every solve calls SciPy's ``linprog`` (HiGHS) on the matrices served by
+:meth:`~repro.core.solver.AssembledSystem.matrices`.  The measured win of
+the session is that method's stage-row cache: each stage appends one row to
+a cached block instead of re-stacking every earlier stage row.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.constraints import AffExpr, SystemExtension
+from repro.core.constraints import AffExpr
 from repro.core.solver import AssembledSystem
-from repro.utils.rationals import SNAP_TOLERANCE
 
-#: Feasibility slack accepted when validating a warm solution against the
-#: assembled matrices.  Anything a warm solve gets wrong beyond what
-#: ``snap_fraction`` would absorb anyway forces the cold re-solve.
-VALIDATION_TOLERANCE = SNAP_TOLERANCE
-
-#: Process-default backend selector (mirrors ``$REPRO_DOMAIN``).
-SOLVER_ENV = "REPRO_SOLVER"
-
-#: The pseudo-backend that resolves to the best available real one.
-AUTO = "auto"
-
-
-# ---------------------------------------------------------------------------
-# Session statistics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SessionStats:
-    """Counters of one session's life (threaded into ``PipelineStats``)."""
-
-    #: Solves answered by the persistent native model (basis carried over).
-    warm_solves: int = 0
-    #: Solves that went through the from-scratch ``linprog`` reference path.
-    cold_solves: int = 0
-    #: Warm solves that started from a previous solve's simplex basis.
-    basis_reuses: int = 0
-    #: Warm solves whose outcome was rejected and re-solved cold.
-    fallbacks: int = 0
-    #: Objective-fixing rows added incrementally.
-    stage_rows_added: int = 0
-    #: Degree-escalation extensions applied to the live model.
-    extensions_applied: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {"warm_solves": self.warm_solves,
-                "cold_solves": self.cold_solves,
-                "basis_reuses": self.basis_reuses,
-                "fallbacks": self.fallbacks,
-                "stage_rows_added": self.stage_rows_added,
-                "extensions_applied": self.extensions_applied}
-
-    def delta(self, before: Dict[str, int]) -> Dict[str, int]:
-        return {key: value - before.get(key, 0)
-                for key, value in self.snapshot().items()}
-
-
-# ---------------------------------------------------------------------------
-# Forced cold solving (test / fallback-drill hook)
-# ---------------------------------------------------------------------------
-
-_FORCE_COLD = False
-
-
-@contextlib.contextmanager
-def force_cold_solves():
-    """Route every session solve through the cold reference path.
-
-    The fallback drill: under this context a warm backend behaves exactly
-    like a mid-run fallback on every stage, which is how the identity tests
-    pin "a warm solve that degrades must not change the answer".
-    """
-    global _FORCE_COLD
-    previous = _FORCE_COLD
-    _FORCE_COLD = True
-    try:
-        yield
-    finally:
-        _FORCE_COLD = previous
-
-
-# ---------------------------------------------------------------------------
-# Session interface + the SciPy reference implementation
-# ---------------------------------------------------------------------------
 
 class LPSession:
     """A persistent solver over one growing :class:`AssembledSystem`.
@@ -129,462 +30,31 @@ class LPSession:
     Lifecycle, as driven by :class:`~repro.core.solver.IterativeMinimizer`
     and :class:`~repro.core.pipeline.AnalysisPipeline`::
 
-        session = create_session(backend, assembled)
+        session = LPSession(assembled)
         for degree attempt:
             for stage objective:
-                values = session.solve(objective)     # warm where possible
+                values = session.solve(objective)
                 session.fix_objective(objective, bound)
             session.clear_stage_rows()                # drop the fix rows
-            assembled.extend(extension)               # on escalation ...
-            session.apply_extension(extension)        # ... grow the model
+            assembled.extend(extension)               # on escalation
     """
-
-    #: Registry name of the concrete backend ("scipy", "highs").
-    name: str = ""
 
     def __init__(self, assembled: AssembledSystem) -> None:
         self.assembled = assembled
-        self.stats = SessionStats()
+        #: LP solves answered so far (``PipelineStats`` reports per stage).
+        self.solves = 0
         #: The per-attempt objective-fixing rows, in stage order.
         self._stage_rows: List[Tuple[AffExpr, float]] = []
 
-    # -- the incremental protocol -------------------------------------------
-
     def solve(self, objective: Optional[AffExpr]) -> Optional[np.ndarray]:
         """Minimise ``objective`` subject to base + stage rows; None if infeasible."""
-        raise NotImplementedError
+        self.solves += 1
+        return self.assembled.solve(objective, self._stage_rows)
 
     def fix_objective(self, objective: AffExpr, bound: float) -> None:
         """Add ``objective <= bound`` as an incremental stage row."""
         self._stage_rows.append((objective, bound))
-        self.stats.stage_rows_added += 1
 
     def clear_stage_rows(self) -> None:
         """Drop every stage row (between degree attempts)."""
         self._stage_rows = []
-
-    def apply_extension(self, extension: SystemExtension) -> None:
-        """Mirror an ``AssembledSystem.extend`` onto the live model.
-
-        Called *after* the assembly has grown; sessions that keep a native
-        model add the new columns/rows and delta coefficients in place.
-        """
-        self.stats.extensions_applied += 1
-
-    def close(self) -> None:
-        """Release native solver resources (idempotent)."""
-
-    # -- the shared cold reference path -------------------------------------
-
-    def _cold_solve(self, objective: Optional[AffExpr]) -> Optional[np.ndarray]:
-        """The from-scratch reference solve every backend can fall back to."""
-        self.stats.cold_solves += 1
-        return self.assembled.solve(objective, self._stage_rows)
-
-
-class ScipySession(LPSession):
-    """The always-available backend: cold ``linprog`` per solve.
-
-    Byte-identical to the pre-session solver path: the matrices come from
-    the same (extras-cached) :meth:`AssembledSystem.matrices` stack and the
-    same ``method="highs"`` ``linprog`` call answers them.  No basis is
-    carried across solves (SciPy exposes none), so ``warm_solves`` and
-    ``basis_reuses`` stay 0 -- which is exactly what the pipeline counters
-    should report for this backend.
-    """
-
-    name = "scipy"
-
-    def solve(self, objective: Optional[AffExpr]) -> Optional[np.ndarray]:
-        return self._cold_solve(objective)
-
-
-# ---------------------------------------------------------------------------
-# The native HiGHS backend (optional highspy dependency)
-# ---------------------------------------------------------------------------
-
-def _highspy():
-    """Import ``highspy`` or return None (the dependency is optional)."""
-    try:
-        import highspy  # noqa: PLC0415 -- optional, imported on demand
-    except ImportError:
-        return None
-    return highspy
-
-
-class HighsSession(LPSession):
-    """One native HiGHS instance surviving stages and degree escalations.
-
-    The base matrices load once (:meth:`_build_model`); stage rows append
-    through ``addRows`` and are deleted again between attempts; extension
-    deltas become ``addCols``/``addRows``/``changeCoeff`` calls on the live
-    model.  HiGHS keeps its factorised basis across incremental
-    modifications, so every solve after the first starts warm.
-
-    Anything suspicious -- a status other than optimal/infeasible, a
-    solution violating the assembled constraints beyond
-    :data:`VALIDATION_TOLERANCE`, or an unexpected ``highspy`` error --
-    falls back to the cold SciPy reference path for that solve and rebuilds
-    the native model afterwards, so one bad warm solve can never poison
-    the rest of the session.
-    """
-
-    name = "highs"
-
-    def __init__(self, assembled: AssembledSystem) -> None:
-        super().__init__(assembled)
-        self._hs = _highspy()
-        if self._hs is None:  # pragma: no cover - guarded by the registry
-            raise RuntimeError("highspy is not installed")
-        self._solver = None
-        #: Rows in the native model: base eq block, base ub block, then
-        #: per-attempt stage rows at the tail (cleared before extensions).
-        self._num_rows = 0
-        self._num_cols = 0
-        self._num_stage_rows = 0
-        self._have_basis = False
-        self._build_model()
-
-    # -- model construction --------------------------------------------------
-
-    def _infinity(self) -> float:
-        return float(self._hs.kHighsInf)
-
-    def _new_solver(self):
-        solver = self._hs.Highs()
-        solver.setOptionValue("output_flag", False)
-        # One deterministic simplex instance: parallelism inside a solve
-        # would trade reproducibility for nothing at these model sizes.
-        solver.setOptionValue("threads", 1)
-        return solver
-
-    def _build_model(self) -> None:
-        """(Re)load the assembled base matrices into a fresh Highs model."""
-        hs = self._hs
-        assembled = self.assembled
-        inf = self._infinity()
-        solver = self._new_solver()
-        num_cols = assembled.num_vars
-        lp = hs.HighsLp()
-        lp.num_col_ = num_cols
-        lp.col_cost_ = np.zeros(num_cols)
-        lp.col_lower_ = np.array(
-            [0.0 if low == 0.0 else -inf for low, _ in assembled.bounds])
-        lp.col_upper_ = np.full(num_cols, inf)
-        row_lower: List[float] = []
-        row_upper: List[float] = []
-        blocks = []
-        if assembled.a_eq is not None:
-            blocks.append(assembled.a_eq)
-            row_lower.extend(assembled.b_eq.tolist())
-            row_upper.extend(assembled.b_eq.tolist())
-        if assembled.a_ub_base is not None:
-            blocks.append(assembled.a_ub_base)
-            row_lower.extend([-inf] * assembled.a_ub_base.shape[0])
-            row_upper.extend(assembled.b_ub_base.tolist())
-        lp.num_row_ = len(row_lower)
-        lp.row_lower_ = np.asarray(row_lower, dtype=np.float64)
-        lp.row_upper_ = np.asarray(row_upper, dtype=np.float64)
-        if blocks:
-            from scipy.sparse import vstack
-
-            matrix = blocks[0] if len(blocks) == 1 \
-                else vstack(blocks, format="csr")
-            matrix = matrix.tocsr()
-            matrix.sort_indices()
-            lp.a_matrix_.format_ = hs.MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = matrix.indptr.astype(np.int32)
-            lp.a_matrix_.index_ = matrix.indices.astype(np.int32)
-            lp.a_matrix_.value_ = matrix.data.astype(np.float64)
-        status = solver.passModel(lp)
-        if status != hs.HighsStatus.kOk \
-                and status != hs.HighsStatus.kWarning:
-            raise RuntimeError(f"HiGHS rejected the model: {status}")
-        self._solver = solver
-        self._num_cols = num_cols
-        self._num_rows = len(row_lower)
-        self._num_stage_rows = 0
-        self._have_basis = False
-        # Re-append any stage rows that were live when the rebuild happened.
-        for expr, bound in self._stage_rows:
-            self._add_stage_row(expr, bound)
-
-    def _row_arrays(self, expr: AffExpr,
-                    sign: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-        items = [(var.index, sign * float(coeff))
-                 for var, coeff in expr.term_items()]
-        items.sort()
-        indices = np.fromiter((index for index, _ in items), dtype=np.int32,
-                              count=len(items))
-        values = np.fromiter((value for _, value in items), dtype=np.float64,
-                             count=len(items))
-        return indices, values
-
-    def _add_stage_row(self, expr: AffExpr, bound: float) -> None:
-        """``expr <= bound`` appended at the tail of the native model."""
-        indices, values = self._row_arrays(expr)
-        upper = bound - float(expr.const)
-        self._solver.addRows(
-            1, np.array([-self._infinity()]), np.array([upper]),
-            len(indices), np.array([0, len(indices)], dtype=np.int32),
-            indices, values)
-        self._num_rows += 1
-        self._num_stage_rows += 1
-
-    # -- the incremental protocol -------------------------------------------
-
-    def fix_objective(self, objective: AffExpr, bound: float) -> None:
-        super().fix_objective(objective, bound)
-        try:
-            self._add_stage_row(objective, bound)
-        except Exception:  # noqa: BLE001 -- degrade to a rebuild, not a crash
-            self._safe_rebuild()
-
-    def clear_stage_rows(self) -> None:
-        super().clear_stage_rows()
-        if self._num_stage_rows == 0:
-            return
-        try:
-            first = self._num_rows - self._num_stage_rows
-            # Stage rows are always the trailing block: the minimizer clears
-            # them before any extension rows are appended.
-            self._solver.deleteRows(
-                self._num_stage_rows,
-                np.arange(first, self._num_rows, dtype=np.int32))
-            self._num_rows = first
-            self._num_stage_rows = 0
-        except Exception:  # noqa: BLE001 -- degrade to a rebuild, not a crash
-            self._safe_rebuild()
-
-    def apply_extension(self, extension: SystemExtension) -> None:
-        """Grow the live model: new columns, delta coefficients, new rows."""
-        super().apply_extension(extension)
-        assembled = self.assembled
-        if self._num_stage_rows:
-            # Defensive: the pipeline clears stage rows first.  If any are
-            # left the tail invariant is gone; rebuild from the assembly.
-            self._safe_rebuild()
-            return
-        try:
-            inf = self._infinity()
-            new_cols = assembled.num_vars - self._num_cols
-            if new_cols > 0:
-                lower = np.array(
-                    [0.0 if low == 0.0 else -inf
-                     for low, _ in assembled.bounds[self._num_cols:]])
-                self._solver.addCols(
-                    new_cols, np.zeros(new_cols), lower,
-                    np.full(new_cols, inf),
-                    0, np.zeros(new_cols + 1, dtype=np.int32),
-                    np.zeros(0, dtype=np.int32), np.zeros(0))
-                self._num_cols = assembled.num_vars
-            # Delta entries of extended rows land in the new columns only.
-            num_eq = assembled.a_eq.shape[0] if assembled.a_eq is not None \
-                else 0
-            for index, delta in extension.extended.items():
-                kind, pos = assembled._row_pos[index]
-                row = pos if kind == "eq" else num_eq + pos
-                sign = 1.0 if kind == "eq" else -1.0
-                for var, coeff in delta.term_items():
-                    self._solver.changeCoeff(row, var.index,
-                                             sign * float(coeff))
-            # The round's brand-new constraints.  The assembly appended them
-            # to its eq/ub blocks; the native model appends them at the tail
-            # and remembers nothing about block order beyond the base split,
-            # so rebuild row bounds straight from the journal window.
-            system = assembled.system
-            for index in range(extension.base_constraints,
-                               system.num_constraints):
-                constraint = system.constraints[index]
-                if constraint.kind == "eq":
-                    indices, values = self._row_arrays(constraint.expr)
-                    value = -float(constraint.expr.const)
-                    lower_b, upper_b = value, value
-                else:
-                    indices, values = self._row_arrays(constraint.expr,
-                                                       sign=-1.0)
-                    lower_b, upper_b = -inf, float(constraint.expr.const)
-                self._solver.addRows(
-                    1, np.array([lower_b]), np.array([upper_b]),
-                    len(indices), np.array([0, len(indices)],
-                                           dtype=np.int32),
-                    indices, values)
-                self._num_rows += 1
-        except Exception:  # noqa: BLE001 -- degrade to a rebuild, not a crash
-            self._safe_rebuild()
-            return
-        # The base-block row mapping changed shape; a rebuild keeps the
-        # mapping trivial ONLY when the assembly's eq rows still precede its
-        # ub rows in the native model -- which the tail-append above broke
-        # for mixed extensions.  Rebuild in that case to stay exact.
-        if self._model_row_order_diverged(extension):
-            self._safe_rebuild()
-
-    def _model_row_order_diverged(self, extension: SystemExtension) -> bool:
-        """Whether tail-appended extension rows broke the eq/ub block split.
-
-        The validation and delta paths address base rows as ``eq block
-        first, ub block second``.  Appending a new *eq* row at the tail
-        (after existing ub rows) breaks that addressing for any later
-        extension, so the model is rebuilt once per such round.  Extensions
-        that only add ub rows keep the split intact.
-        """
-        system = self.assembled.system
-        return any(system.constraints[index].kind == "eq"
-                   for index in range(extension.base_constraints,
-                                      system.num_constraints))
-
-    def _safe_rebuild(self) -> None:
-        try:
-            self._build_model()
-        except Exception:  # noqa: BLE001 -- cold path still answers solves
-            self._solver = None
-
-    # -- solving -------------------------------------------------------------
-
-    def solve(self, objective: Optional[AffExpr]) -> Optional[np.ndarray]:
-        if _FORCE_COLD or self._solver is None:
-            if self._solver is not None:
-                self.stats.fallbacks += 1
-            return self._cold_solve(objective)
-        if self.assembled.num_vars == 0:
-            return np.zeros(0)
-        hs = self._hs
-        try:
-            cost = self.assembled.objective_vector(objective)
-            self._solver.changeColsCostByRange(0, self._num_cols - 1, cost)
-            had_basis = self._have_basis
-            run_status = self._solver.run()
-            if run_status != hs.HighsStatus.kOk:
-                raise RuntimeError(f"HiGHS run() returned {run_status}")
-            status = self._solver.getModelStatus()
-            if status == hs.HighsModelStatus.kInfeasible:
-                # Trust proven infeasibility: it is a property of the rows,
-                # not of the starting basis, and re-deriving it cold would
-                # make every failed degree attempt pay twice.
-                self.stats.warm_solves += 1
-                if had_basis:
-                    self.stats.basis_reuses += 1
-                self._have_basis = True
-                return None
-            if status != hs.HighsModelStatus.kOptimal:
-                raise RuntimeError(f"HiGHS model status {status}")
-            values = np.asarray(self._solver.getSolution().col_value,
-                                dtype=np.float64)
-            if values.shape != (self.assembled.num_vars,) \
-                    or not self._validate(values):
-                raise RuntimeError("warm solution failed validation")
-        except Exception:  # noqa: BLE001 -- any doubt means a cold re-solve
-            self.stats.fallbacks += 1
-            self._safe_rebuild()
-            return self._cold_solve(objective)
-        self.stats.warm_solves += 1
-        if had_basis:
-            self.stats.basis_reuses += 1
-        self._have_basis = True
-        return values
-
-    def _validate(self, values: np.ndarray) -> bool:
-        """Check a warm solution against the assembled matrices + stage rows."""
-        assembled = self.assembled
-        tol = VALIDATION_TOLERANCE
-        if assembled.a_eq is not None:
-            residual = assembled.a_eq @ values - assembled.b_eq
-            if residual.size and float(np.abs(residual).max()) > tol:
-                return False
-        if assembled.a_ub_base is not None:
-            slack = assembled.a_ub_base @ values - assembled.b_ub_base
-            if slack.size and float(slack.max()) > tol:
-                return False
-        for (low, _), value in zip(assembled.bounds, values):
-            if low == 0.0 and value < -tol:
-                return False
-        for expr, bound in self._stage_rows:
-            left = sum(float(coeff) * values[var.index]
-                       for var, coeff in expr.term_items()) \
-                + float(expr.const)
-            if left > bound + tol:
-                return False
-        return True
-
-    def close(self) -> None:
-        self._solver = None
-
-
-# ---------------------------------------------------------------------------
-# The backend registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SolverBackend:
-    """One registered LP backend: a name, a factory, an availability probe."""
-
-    name: str
-    factory: Callable[[AssembledSystem], LPSession]
-    #: Whether the backend can run in this process (dependencies importable).
-    available: Callable[[], bool] = field(default=lambda: True)
-
-
-SOLVER_BACKENDS: Dict[str, SolverBackend] = {}
-
-#: Resolution order of ``auto``: first available backend wins.
-_AUTO_ORDER = ("highs", "scipy")
-
-
-def register_solver_backend(backend: SolverBackend) -> None:
-    SOLVER_BACKENDS[backend.name] = backend
-
-
-register_solver_backend(SolverBackend("scipy", ScipySession))
-register_solver_backend(SolverBackend(
-    "highs", HighsSession, available=lambda: _highspy() is not None))
-
-
-def solver_choices() -> Tuple[str, ...]:
-    """Every accepted ``--solver`` value (registered backends + ``auto``)."""
-    return (AUTO,) + tuple(sorted(SOLVER_BACKENDS))
-
-
-def available_solver_backends() -> Tuple[str, ...]:
-    """The registered backends whose dependencies import in this process."""
-    return tuple(name for name in sorted(SOLVER_BACKENDS)
-                 if SOLVER_BACKENDS[name].available())
-
-
-def default_solver() -> str:
-    """The process-default selector: ``$REPRO_SOLVER`` or ``auto``."""
-    return os.environ.get(SOLVER_ENV, "").strip() or AUTO
-
-
-def resolve_solver_backend(name: Optional[str]) -> str:
-    """A user selector (None/auto/backend name) -> a concrete backend name.
-
-    Raises ``ValueError`` for unknown names and for explicitly requested
-    backends whose dependencies are missing -- mirroring
-    :func:`repro.logic.entailment.resolve_domain`, so front ends report a
-    structured error instead of an import crash mid-analysis.
-    """
-    selector = (name or default_solver()).strip() or AUTO
-    if selector == AUTO:
-        for candidate in _AUTO_ORDER:
-            backend = SOLVER_BACKENDS.get(candidate)
-            if backend is not None and backend.available():
-                return candidate
-        raise ValueError("no LP solver backend is available")
-    backend = SOLVER_BACKENDS.get(selector)
-    if backend is None:
-        raise ValueError(
-            f"unknown LP solver backend {selector!r} "
-            f"(known: {', '.join(solver_choices())})")
-    if not backend.available():
-        raise ValueError(
-            f"LP solver backend {selector!r} is not available in this "
-            f"environment (install the optional dependency, e.g. "
-            f"pip install 'absynth-repro[highs]')")
-    return selector
-
-
-def create_session(name: Optional[str],
-                   assembled: AssembledSystem) -> LPSession:
-    """Build a session on the resolved backend for ``assembled``."""
-    return SOLVER_BACKENDS[resolve_solver_backend(name)].factory(assembled)

@@ -44,8 +44,7 @@ from repro.core.bounds import ExpectedBound
 from repro.core.certificates import build_certificate
 from repro.core.constraints import AffExpr, ConstraintSystem
 from repro.core.derivation import DerivationBuilder
-from repro.core.lpsession import LPSession, create_session, \
-    resolve_solver_backend
+from repro.core.lpsession import LPSession
 from repro.core.solver import AssembledSystem, IterativeMinimizer, LPSolution
 from repro.core.specs import ProcedureSpec, SpecContext
 from repro.lang import ast
@@ -82,14 +81,8 @@ class DegreeStage:
     constraints_total: int = 0
     solved: bool = False
     feasible: Optional[bool] = None
-    #: LP-session counters of this stage's solve attempt: solves answered by
-    #: the persistent warm model, solves through the cold reference path,
-    #: warm solves that reused the previous simplex basis, and warm solves
-    #: rejected into a cold re-solve (see ``repro.core.lpsession``).
-    warm_solves: int = 0
+    #: LP solves of this stage's attempt (``repro.core.lpsession``).
     cold_solves: int = 0
-    basis_reuses: int = 0
-    solver_fallbacks: int = 0
 
     def reuse_ratio(self) -> Optional[float]:
         """Fraction of this stage's system carried over from earlier degrees."""
@@ -117,10 +110,7 @@ class DegreeStage:
             "solved": self.solved,
             "feasible": self.feasible,
             "reuse_ratio": self.reuse_ratio(),
-            "warm_solves": self.warm_solves,
             "cold_solves": self.cold_solves,
-            "basis_reuses": self.basis_reuses,
-            "solver_fallbacks": self.solver_fallbacks,
         }
 
 
@@ -134,9 +124,6 @@ class PipelineStats:
     #: One entry per *constructed* degree (superset of the attempted ones:
     #: a cold ``max_degree=2`` run constructs degree 1 without solving it).
     stages: List[DegreeStage] = field(default_factory=list)
-    #: The resolved LP backend that answered this analysis's solves
-    #: ("scipy", "highs"; None before the first solve attempt).
-    solver_backend: Optional[str] = None
 
     @property
     def escalation_reuse_ratio(self) -> Optional[float]:
@@ -160,20 +147,8 @@ class PipelineStats:
         return sum(stage.solve_seconds for stage in self.stages)
 
     @property
-    def warm_solves(self) -> int:
-        return sum(stage.warm_solves for stage in self.stages)
-
-    @property
     def cold_solves(self) -> int:
         return sum(stage.cold_solves for stage in self.stages)
-
-    @property
-    def basis_reuses(self) -> int:
-        return sum(stage.basis_reuses for stage in self.stages)
-
-    @property
-    def solver_fallbacks(self) -> int:
-        return sum(stage.solver_fallbacks for stage in self.stages)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -182,11 +157,9 @@ class PipelineStats:
             "solve_seconds": round(self.solve_seconds_total(), 4),
             "attempted_degrees": list(self.attempted_degrees),
             "escalation_reuse_ratio": self.escalation_reuse_ratio,
-            "solver": self.solver_backend,
-            "warm_solves": self.warm_solves,
+            # Always 0: kept so readers that sum warm + cold solves work.
+            "warm_solves": 0,
             "cold_solves": self.cold_solves,
-            "basis_reuses": self.basis_reuses,
-            "solver_fallbacks": self.solver_fallbacks,
             "stages": [stage.to_dict() for stage in self.stages],
         }
 
@@ -209,10 +182,9 @@ class AnalysisState:
     initial: Optional[PotentialAnnotation] = None
     #: LP assembly grown in place; created lazily at the first solve.
     assembled: Optional[AssembledSystem] = None
-    #: Persistent LP solver session over ``assembled`` (same lifetime): the
-    #: native model survives objective stages and degree escalations, so
-    #: warm backends feed every solve the previous stage's simplex basis.
-    session: Optional["LPSession"] = None
+    #: LP session over ``assembled`` (same lifetime): it survives objective
+    #: stages and degree escalations.
+    session: Optional[LPSession] = None
     built_degree: Optional[int] = None
 
 
@@ -322,10 +294,6 @@ class AnalysisPipeline:
         extension = system.end_extension()
         if state.assembled is not None:
             state.assembled.extend(extension)
-            if state.session is not None:
-                # Mirror the growth onto the live solver model: new columns,
-                # delta coefficients in fresh columns, and the round's rows.
-                state.session.apply_extension(extension)
         state.built_degree = degree
         self.stats.stages.append(DegreeStage(
             degree=degree, kind="extend",
@@ -351,10 +319,8 @@ class AnalysisPipeline:
         if state.assembled is None:
             state.assembled = AssembledSystem(system)
         if state.session is None:
-            state.session = create_session(self.config.solver,
-                                           state.assembled)
-            self.stats.solver_backend = state.session.name
-        before = state.session.stats.snapshot()
+            state.session = LPSession(state.assembled)
+        solves_before = state.session.solves
         solver = IterativeMinimizer(system, tolerance=self.config.lp_tolerance)
         solution = solver.solve(objectives, session=state.session)
         elapsed = time.perf_counter() - started
@@ -362,11 +328,7 @@ class AnalysisPipeline:
             stage.solve_seconds = elapsed
             stage.solved = True
             stage.feasible = solution is not None
-            delta = state.session.stats.delta(before)
-            stage.warm_solves = delta["warm_solves"]
-            stage.cold_solves = delta["cold_solves"]
-            stage.basis_reuses = delta["basis_reuses"]
-            stage.solver_fallbacks = delta["fallbacks"]
+            stage.cold_solves = state.session.solves - solves_before
         if solution is None:
             return AnalysisResult(
                 False, None, degree, elapsed,
@@ -391,24 +353,21 @@ class AnalysisPipeline:
         (:func:`repro.logic.entailment.use_domain`), so every ``Context``
         operation -- from abstract interpretation to the rewrite-side
         entailment checks -- is answered by the selected backend.  The
-        interval pre-filter setting is activated the same way
-        (:func:`repro.logic.entailment.use_prefilter`): per-analysis, and
-        restored afterwards so a job's setting cannot leak into the next
-        job in the same process.
+        interval pre-filter tier follows the ambient
+        :func:`repro.logic.entailment.active_prefilter` setting: on unless
+        the ``$REPRO_PREFILTER=off`` oracle switch or a test's
+        ``use_prefilter(False)`` turns it off.
         """
         from repro.core.analyzer import AnalysisResult
-        from repro.logic.entailment import (resolve_domain, resolve_prefilter,
-                                            use_domain, use_prefilter)
+        from repro.logic.entailment import resolve_domain, use_domain
 
         try:
             domain = resolve_domain(self.config.domain)
-            prefilter = resolve_prefilter(self.config.prefilter)
-            resolve_solver_backend(self.config.solver)
         except ValueError as exc:
             return AnalysisResult(
                 False, None, self.config.max_degree, 0.0, 0, 0, None,
                 str(exc), failure_kind="analysis-error", stats=self.stats)
-        with use_domain(domain), use_prefilter(prefilter):
+        with use_domain(domain):
             return self._run_attempts()
 
     def _run_attempts(self) -> "AnalysisResult":

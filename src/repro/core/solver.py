@@ -286,11 +286,9 @@ class IterativeMinimizer:
     """Minimise a sequence of objectives, fixing each optimum before the next.
 
     The base LP matrices are assembled exactly once; each stage only adds
-    its incremental objective-fixing row on top of them.  With a persistent
-    :class:`~repro.core.lpsession.LPSession` the stage rows go straight
-    into the live solver model and every solve starts from the previous
-    stage's basis; without one a transient SciPy-backed session reproduces
-    the classic cold-solve behaviour byte for byte.
+    its incremental objective-fixing row on top of them.  The stage rows
+    live in an :class:`~repro.core.lpsession.LPSession`: the pipeline's
+    persistent one, or a transient one built here.
     """
 
     def __init__(self, system: ConstraintSystem, tolerance: float = 1e-6) -> None:
@@ -303,8 +301,8 @@ class IterativeMinimizer:
         """Solve the staged objectives; ``assembled``/``session`` reuse state.
 
         The incremental pipeline passes the :class:`AssembledSystem` it has
-        been growing across degree escalations (and, with a solver session,
-        the live model built over it); the assembly must be up to date with
+        been growing across degree escalations (or the session built over
+        it); the assembly must be up to date with
         the constraint system (same variable/constraint counts).
         """
         if session is not None:
@@ -316,9 +314,9 @@ class IterativeMinimizer:
             raise ValueError("assembled system is stale with respect to the "
                              "constraint system; apply the extension first")
         if session is None:
-            from repro.core.lpsession import ScipySession
+            from repro.core.lpsession import LPSession
 
-            session = ScipySession(assembled)
+            session = LPSession(assembled)
         values: Optional[np.ndarray] = None
         achieved: List[float] = []
         stages = list(objectives) or [AffExpr.zero()]
@@ -335,10 +333,7 @@ class IterativeMinimizer:
                     session.fix_objective(objective,
                                           achieved_value + self.tolerance)
         finally:
-            # Stage rows belong to this attempt only.  Clearing them here --
-            # before any degree extension touches the session -- keeps them
-            # a pure tail block in native models, so warm backends can drop
-            # them without renumbering earlier rows.
+            # Stage rows belong to this attempt only.
             session.clear_stage_rows()
         assignment = {var: snap_fraction(float(values[var.index]))
                       for var in self.system.variables}

@@ -68,7 +68,7 @@ FactKey = FrozenSet[LinExpr]
 #: Environment variable selecting the process-default domain.
 DOMAIN_ENV = "REPRO_DOMAIN"
 
-#: Environment variable selecting the process-default pre-filter state.
+#: Environment variable switching the interval tier off (test oracle only).
 PREFILTER_ENV = "REPRO_PREFILTER"
 
 #: The built-in default backend.
@@ -764,10 +764,11 @@ class EntailmentEngine:
 #
 # The pre-filter is observational: every answer the interval tier decides
 # equals the exact backend's answer, so toggling it changes *which tier*
-# answers (and how fast), never *what* is answered.  The toggle is still
-# plumbed like the domain -- env default, per-analysis override, job-hash
-# participation -- so perfsmoke can compare the two configurations and the
-# result store never conflates their provenance.
+# answers (and how fast), never *what* is answered.  The tier is therefore
+# always on in production; the off switch exists only as a test oracle:
+# ``$REPRO_PREFILTER=off`` for a whole process (the CI oracle leg) or a
+# :func:`use_prefilter` block (the on/off identity tests).  It is not an
+# analyzer option and takes no part in the job hash.
 
 #: The process-wide pre-filter override; ``None`` = process default.
 _ACTIVE_PREFILTER: Optional[bool] = None
@@ -808,21 +809,12 @@ def active_prefilter() -> bool:
             else default_prefilter())
 
 
-def set_active_prefilter(enabled: Optional[bool]) -> bool:
-    """Switch the pre-filter; returns the previously active state."""
-    global _ACTIVE_PREFILTER
-    previous = active_prefilter()
-    _ACTIVE_PREFILTER = (resolve_prefilter(enabled)
-                         if enabled is not None else None)
-    return previous
-
-
 @contextmanager
 def use_prefilter(enabled: Optional[bool]) -> Iterator[bool]:
     """Run a block with the pre-filter forced on/off (restored on exit).
 
-    The analyzer pipeline wraps each analysis in this (from
-    ``AnalyzerConfig.prefilter``), mirroring :func:`use_domain`.
+    The in-process oracle switch: tests compare an analysis inside
+    ``use_prefilter(False)`` with one inside ``use_prefilter(True)``.
     """
     state = resolve_prefilter(enabled)
     global _ACTIVE_PREFILTER

@@ -26,11 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.analyzer import AnalysisResult, analyze_source
+from repro.core.analyzer import AnalysisResult, AnalyzerConfig, analyze_source
 from repro.core.bounds import ExpectedBound
 from repro.core.certificates import Certificate
 from repro.lang.errors import ParseError
@@ -49,20 +49,18 @@ from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 #: cap blowup is the structured ``resource-limit`` status instead of a raw
 #: error.
 #: v5: the LP solver selector (``solver`` option) is stamped into every job
-#: like ``domain`` was in v3.  The *selector* ("auto"/"scipy"/"highs") is
-#: hashed, not the machine-dependent resolution of ``auto`` -- the backends
-#: are byte-identical (warm/cold identity pin), so an ``auto`` job keys the
-#: same on a highspy-equipped machine and a SciPy-only one.
+#: like ``domain`` was in v3.
 #: v6: results carry the pre-flight lint diagnostics (``diagnostics``, a
 #: list of :meth:`repro.lang.analysis.Diagnostic.to_dict` records) and the
 #: pre-flight gate's ``lint-error`` status joins the cacheable set (lint is
 #: a deterministic function of the job content).
 #: v7: the interval pre-filter setting (``prefilter`` option) is stamped
-#: into every job like ``domain``/``solver``.  The pre-filter is
-#: observational (bounds and certificates are byte-identical on and off),
-#: but the stamp keeps provenance explicit and lets perfsmoke's
-#: ``--prefilter-compare`` leg address the two configurations separately.
-SCHEMA_VERSION = 7
+#: into every job like ``domain``/``solver``.
+#: v8: ``solver`` and ``prefilter`` are gone from the options and the hash
+#: (one LP path; the interval tier is always on outside the test oracle),
+#: so equivalent configurations share one cache key.  Option keys that are
+#: not :class:`~repro.core.analyzer.AnalyzerConfig` fields are rejected.
+SCHEMA_VERSION = 8
 
 #: Statuses a job can end in.  ``ok``/``no-bound``/``parse-error`` are
 #: deterministic outcomes of the job's content and therefore cacheable;
@@ -101,6 +99,10 @@ def _jsonable_option(value: object) -> object:
     return f"repr:{value!r}"
 
 
+#: The option keys a job may carry: the analyzer's own configuration.
+_CONFIG_FIELDS = frozenset(item.name for item in fields(AnalyzerConfig))
+
+
 @dataclass(frozen=True)
 class AnalysisJob:
     """One self-contained analysis request (picklable, content-addressed)."""
@@ -114,6 +116,10 @@ class AnalysisJob:
                options: Optional[Dict[str, object]] = None) -> "AnalysisJob":
         """Build a job, resolving the abstract domain *now*.
 
+        Option keys must be :class:`~repro.core.analyzer.AnalyzerConfig`
+        fields; any other key raises ``ValueError`` naming it, so front
+        ends answer a bad request instead of running a job that fails.
+
         A job without an explicit ``domain`` option is stamped with the
         currently active domain: the environment default (``$REPRO_DOMAIN``)
         is a per-process setting, so leaving it out of the job would let two
@@ -121,31 +127,17 @@ class AnalysisJob:
         store would serve one backend's cached results to the other.
         Stamping at creation keeps hash and execution domain consistent
         everywhere the job travels (workers, stores, servers).
-
-        The LP ``solver`` selector is stamped the same way (the per-process
-        ``$REPRO_SOLVER`` default, or ``"auto"``).  Unlike ``domain`` the
-        stamped value is the *selector*, not the resolved backend: ``auto``
-        resolves per machine, but the backends are byte-identical by the
-        warm/cold identity pin, so hashing the selector keeps one cache key
-        across heterogeneous workers.
-
-        The interval ``prefilter`` toggle is stamped as a bool (resolving
-        the per-process ``$REPRO_PREFILTER`` default now, schema v7).
         """
-        from repro.core.lpsession import default_solver
-        from repro.logic.entailment import active_prefilter, resolve_prefilter
+        from repro.logic.entailment import active_domain
 
         merged = dict(options or {})
+        unknown = sorted(set(merged) - _CONFIG_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"unknown analyzer option {unknown[0]!r} (known: "
+                f"{', '.join(sorted(_CONFIG_FIELDS))})")
         if not merged.get("domain"):
-            from repro.logic.entailment import active_domain
-
             merged["domain"] = active_domain()
-        if not merged.get("solver"):
-            merged["solver"] = default_solver()
-        if merged.get("prefilter") is None:
-            merged["prefilter"] = active_prefilter()
-        else:
-            merged["prefilter"] = resolve_prefilter(merged["prefilter"])
         items = tuple(sorted(merged.items()))
         return cls(name=name, source=source, options=items)
 
@@ -173,21 +165,18 @@ def job_from_file(path: str, options: Optional[Dict[str, object]] = None,
 
 
 def job_from_benchmark(benchmark,
-                       domain: Optional[str] = None,
-                       solver: Optional[str] = None) -> AnalysisJob:
+                       domain: Optional[str] = None) -> AnalysisJob:
     """Turn a registry :class:`~repro.bench.registry.BenchmarkProgram` into a job.
 
     The program AST is printed back to concrete syntax (a bound-preserving
     round trip, see ``tests/test_parser_printer.py``) so the job carries only
     text and the worker parses it afresh.  ``domain`` pins the job to an
-    abstract-domain backend and ``solver`` to an LP backend selector (None =
-    the process defaults, stamped by :meth:`AnalysisJob.create`).
+    abstract-domain backend (None = the process default, stamped by
+    :meth:`AnalysisJob.create`).
     """
     options = dict(benchmark.analyzer_options)
     if domain is not None:
         options["domain"] = domain
-    if solver is not None:
-        options["solver"] = solver
     return AnalysisJob.create(benchmark.name, benchmark.source_text(), options)
 
 

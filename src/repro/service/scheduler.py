@@ -62,6 +62,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# The LP stack (scipy) is imported here so forked pool workers inherit it
+# instead of each importing it inside its first job (see ``_pool_context``).
+import repro.core.solver  # noqa: F401
 from repro.service import faults
 from repro.service.jobs import AnalysisJob, JobResult, job_domain, run_job
 from repro.service.retry import RetryPolicy

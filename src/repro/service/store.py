@@ -223,10 +223,9 @@ class ResultStore:
                 os.makedirs(self.quarantine_root, exist_ok=True)
                 target = os.path.join(self.quarantine_root,
                                       f"{job_hash}.json")
-                if os.path.exists(target):
-                    # A previous incarnation is already quarantined; keep
-                    # the newest evidence.
-                    os.unlink(target)
+                # ``os.replace`` overwrites a previous incarnation (keeping
+                # the newest evidence) and leaves it alone when another
+                # mover already took ``path``.
                 os.replace(path, target)
                 return True
         except OSError:

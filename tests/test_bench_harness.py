@@ -175,6 +175,8 @@ class TestPerfSmoke:
             assert program["wall_seconds"] >= 0
             assert program["fm_queries"] >= 0
         assert "hit_rate" in report["entailment_cache"]
+        assert "interval_hit_rate" in report["entailment_cache"]
+        assert not {"solver", "prefilter", "prefilter_compare"} & set(report)
 
     def test_run_suite_counts_queries(self):
         from repro.bench.perfsmoke import run_suite
@@ -196,6 +198,18 @@ class TestPerfSmoke:
         report = json.loads(output.read_text())
         assert sorted(p["name"] for p in report["programs"]) \
             == ["ber", "rdwalk"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--solver", "scipy"], ["--prefilter-compare"],
+        ["--prefilter-min-hit-rate", "0.5"],
+        ["--escalation-min-solve-speedup", "1.3"]])
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, flags):
+        from repro.bench.perfsmoke import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--limit", "1", "--quiet",
+                  "--output", str(tmp_path / "b.json"), *flags])
+        assert excinfo.value.code == 2
 
     def test_programs_filter_unknown_selector(self, tmp_path, capsys):
         from repro.bench.perfsmoke import main
@@ -244,6 +258,24 @@ class TestPerfSmoke:
         assert main(["--limit", "1", "--quiet",
                      "--output", str(output)]) == 0
         assert json.loads(output.read_text())["sampler"] is None
+
+    @pytest.mark.parametrize("tier_on", [True, False])
+    def test_interval_gate_runs_on_the_main_pass(self, tmp_path, monkeypatch,
+                                                 capsys, tier_on):
+        from repro.bench import perfsmoke
+        from repro.core.rewrite import clear_rewrite_caches
+        from repro.logic.entailment import reset_engine, use_prefilter
+
+        # An impossible floor: the gate must fire on a cold main pass with
+        # the tier on, and stay silent under the oracle's tier-off switch.
+        monkeypatch.setattr(perfsmoke, "PREFILTER_MIN_HIT_RATE", 1.01)
+        reset_engine()
+        clear_rewrite_caches()
+        with use_prefilter(tier_on):
+            code = perfsmoke.main(["--programs", "ber", "--quiet",
+                                   "--output", str(tmp_path / "b.json")])
+        failed = "interval pre-filter gate FAILED" in capsys.readouterr().err
+        assert (code, failed) == ((1, True) if tier_on else (0, False))
 
     def test_parallel_pass_records_suite_wall(self, tmp_path):
         import json

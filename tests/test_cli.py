@@ -54,6 +54,15 @@ class TestParserConstruction:
         assert args.degree == 1
         assert not args.certificate
 
+    @pytest.mark.parametrize("command", ["analyze", "bench", "batch",
+                                         "serve"])
+    def test_no_solver_or_prefilter_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert "--domain" in usage
+        assert "--solver" not in usage and "--prefilter" not in usage
+
 
 class TestAnalyzeCommand:
     def test_analyze_program_file(self, rdwalk_file, capsys):
@@ -301,6 +310,13 @@ class TestBatchCommand:
     def test_batch_unknown_selector(self):
         with pytest.raises(SystemExit):
             main(["batch", "no-such-benchmark", "--no-cache"])
+
+    def test_batch_unknown_option_is_a_bad_request(self, rdwalk_file):
+        from repro.cli import _collect_batch_jobs
+
+        with pytest.raises(SystemExit) as excinfo:
+            _collect_batch_jobs([rdwalk_file], {"solver": "scipy"})
+        assert "unknown analyzer option 'solver'" in str(excinfo.value.code)
 
     def test_batch_timeout_needs_workers(self, capsys):
         # Rejected at argument-parse time: conventional usage-error exit

@@ -24,6 +24,7 @@ import pytest
 from repro.bench.registry import all_benchmarks
 from repro.core.analyzer import analyze_program
 from repro.lang import ast
+from repro.logic.entailment import use_prefilter
 from repro.service.jobs import bound_payload, certificate_payload
 
 
@@ -65,8 +66,8 @@ def test_registry_bounds_and_certificates_identical(bench):
 
 
 #: Every third benchmark: enough variety (linear, polynomial, recursive)
-#: to exercise all tier paths without doubling the tier-1 wall; the full
-#: registry runs through ``perfsmoke --prefilter-compare``.
+#: to exercise all tier paths without doubling the tier-1 wall; the whole
+#: suite runs with the tier off in the ``$REPRO_PREFILTER=off`` CI leg.
 _PREFILTER_SAMPLE = all_benchmarks()[::3]
 
 
@@ -80,8 +81,10 @@ def test_prefilter_on_off_identical(bench, domain):
     an analysis with the pre-filter enabled must serialise byte-identically
     to one without it -- bounds, LP shape and the full certificate.
     """
-    with_tier = _analyze(bench, domain, prefilter=True)
-    without_tier = _analyze(bench, domain, prefilter=False)
+    with use_prefilter(True):
+        with_tier = _analyze(bench, domain)
+    with use_prefilter(False):
+        without_tier = _analyze(bench, domain)
     left, right = _serialised(with_tier), _serialised(without_tier)
     assert left == right, (
         f"{bench.name} [{domain}]: the pre-filter changed the analysis\n"

@@ -1,16 +1,11 @@
-"""Tests for the persistent LP solver sessions (``repro.core.lpsession``).
+"""Tests for the LP session (``repro.core.lpsession``).
 
-The correctness pin of the warm-starting PR, in the spirit of
-``test_pipeline_incremental.py``: for every registry benchmark that
-escalates degrees, bounds and serialised certificates must be
-byte-identical across the SciPy reference backend, the ``auto``-resolved
-backend, and a forced mid-run cold-fallback run -- and on the native
-``highs`` backend the pipeline must actually report warm solves and basis
-reuses.  Also covers the ``SolverBackend`` registry, the extras-assembly
-cache, the ``--solver`` job-hash stamping and the CLI surface.
+Covers the session protocol on a tiny LP (optimum, stage rows, infeasible
+-> None), the stage-row cache of ``AssembledSystem.matrices``, and the
+registry pin: an escalating analysis, whose one session answers every
+degree attempt, yields the same bound and certificate as a cold run at the
+target degree.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -18,23 +13,13 @@ import pytest
 from repro.bench.registry import polynomial_benchmarks
 from repro.core.analyzer import analyze_program
 from repro.core.constraints import ConstraintSystem
-from repro.core.lpsession import (AUTO, SOLVER_BACKENDS, ScipySession,
-                                  _highspy, available_solver_backends,
-                                  create_session, default_solver,
-                                  force_cold_solves, resolve_solver_backend,
-                                  solver_choices)
+from repro.core.lpsession import LPSession
 from repro.core.solver import AssembledSystem, IterativeMinimizer
 from repro.lang import builder as B
-from repro.service.jobs import AnalysisJob
 
 from tests.test_pipeline_incremental import canonical_certificate
 
 POLYNOMIAL = polynomial_benchmarks()
-
-HAVE_HIGHSPY = _highspy() is not None
-
-needs_highspy = pytest.mark.skipif(
-    not HAVE_HIGHSPY, reason="optional highspy dependency not installed")
 
 
 def nested_loop_program():
@@ -56,75 +41,27 @@ def small_system():
 
 
 # ---------------------------------------------------------------------------
-# The backend registry
-# ---------------------------------------------------------------------------
-
-class TestSolverRegistry:
-    def test_scipy_is_always_registered_and_available(self):
-        assert "scipy" in SOLVER_BACKENDS
-        assert "scipy" in available_solver_backends()
-
-    def test_choices_cover_auto_and_backends(self):
-        choices = solver_choices()
-        assert AUTO in choices
-        assert "scipy" in choices and "highs" in choices
-
-    def test_auto_resolves_to_an_available_backend(self):
-        resolved = resolve_solver_backend(None)
-        assert resolved in available_solver_backends()
-        assert resolve_solver_backend("auto") == resolved
-        # auto prefers the native backend exactly when it is importable.
-        assert resolved == ("highs" if HAVE_HIGHSPY else "scipy")
-
-    def test_explicit_scipy_resolves(self):
-        assert resolve_solver_backend("scipy") == "scipy"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown LP solver"):
-            resolve_solver_backend("simplex9000")
-
-    @pytest.mark.skipif(HAVE_HIGHSPY, reason="highspy installed here")
-    def test_unavailable_backend_raises(self):
-        with pytest.raises(ValueError, match="not available"):
-            resolve_solver_backend("highs")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert default_solver() == AUTO
-        monkeypatch.setenv("REPRO_SOLVER", "scipy")
-        assert default_solver() == "scipy"
-        assert resolve_solver_backend(None) == "scipy"
-
-    def test_create_session_returns_named_backend(self):
-        system, _, _ = small_system()
-        session = create_session("scipy", AssembledSystem(system))
-        assert isinstance(session, ScipySession)
-        assert session.name == "scipy"
-
-
-# ---------------------------------------------------------------------------
 # Session behaviour on a tiny LP
 # ---------------------------------------------------------------------------
 
-def _session_for(name):
-    system, x, y = small_system()
-    return create_session(name, AssembledSystem(system)), x, y
-
-
-def session_names():
-    return available_solver_backends()
-
-
-@pytest.mark.parametrize("backend", session_names())
 class TestSessionProtocol:
-    def test_solve_finds_the_optimum(self, backend):
-        session, x, y = _session_for(backend)
+    def _session(self):
+        system, x, y = small_system()
+        return LPSession(AssembledSystem(system)), x, y
+
+    def test_solve_is_defined_on_the_session_class(self):
+        # Wrappers that time LP solves patch ``vars(LPSession)["solve"]``.
+        assert "solve" in vars(LPSession)
+
+    def test_solve_finds_the_optimum(self):
+        session, x, y = self._session()
         values = session.solve(x + y)
         assert values is not None
         assert np.allclose(values, [1.0, 1.0], atol=1e-6)
+        assert session.solves == 1
 
-    def test_stage_rows_constrain_later_solves(self, backend):
-        session, x, y = _session_for(backend)
+    def test_stage_rows_constrain_later_solves(self):
+        session, x, y = self._session()
         values = session.solve(x + y)
         assert values is not None
         session.fix_objective(x + y, 2.0 + 1e-7)
@@ -132,41 +69,43 @@ class TestSessionProtocol:
         values = session.solve(x * -1)
         assert values is not None
         assert values[0] + values[1] <= 2.0 + 1e-5
-        assert session.stats.stage_rows_added == 1
         session.clear_stage_rows()
         values = session.solve(x * -1)
         # Unbounded after the fix row is gone: either reported as
         # infeasible/unbounded (None) or a huge x -- both prove the row left.
         assert values is None or values[0] > 10.0
 
-    def test_infeasible_reports_none(self, backend):
+    def test_infeasible_reports_none(self):
         system = ConstraintSystem()
         x = system.new_var("x", nonneg=True)
         system.add_ge(-x - 1)          # -x - 1 >= 0, impossible for x >= 0
-        session = create_session(backend, AssembledSystem(system))
-        assert session.solve(x) is None
+        assert LPSession(AssembledSystem(system)).solve(x) is None
 
-    def test_forced_cold_routes_through_reference_path(self, backend):
-        session, x, y = _session_for(backend)
-        with force_cold_solves():
-            values = session.solve(x + y)
-        assert values is not None
-        assert np.allclose(values, [1.0, 1.0], atol=1e-6)
-        assert session.stats.cold_solves == 1
-        assert session.stats.warm_solves == 0
+    def test_session_follows_an_extended_assembly(self):
+        # Degree escalation grows the assembly under a live session: the
+        # next solve sees the new column and rows without a new session.
+        system, x, y = small_system()
+        assembled = AssembledSystem(system)
+        session = LPSession(assembled)
+        assert np.allclose(session.solve(x + y), [1.0, 1.0], atol=1e-6)
+        system.begin_extension()
+        z = system.new_var("z", nonneg=True)
+        system.extend_constraint(0, z)     # x + y + z - 2 >= 0
+        system.add_ge(z - 2)               # z >= 2
+        assembled.extend(system.end_extension())
+        values = session.solve(x + y)
+        assert values is not None and len(values) == 3
+        assert values[0] + values[1] == pytest.approx(0.0, abs=1e-6)
+        assert values[2] >= 2.0 - 1e-6
+        assert session.solves == 2
 
-
-class TestScipySessionIsTheReferencePath:
     def test_matches_direct_assembled_solve(self):
         system, x, y = small_system()
         assembled = AssembledSystem(system)
-        session = ScipySession(assembled)
         direct = assembled.solve(x + y)
-        via_session = session.solve(x + y)
-        assert np.array_equal(direct, via_session)
-        assert session.stats.cold_solves == 1
+        assert np.array_equal(direct, LPSession(assembled).solve(x + y))
 
-    def test_minimizer_uses_transient_scipy_session(self):
+    def test_minimizer_uses_transient_session(self):
         system, x, y = small_system()
         solution = IterativeMinimizer(system).solve([x + y])
         assert solution is not None
@@ -174,7 +113,7 @@ class TestScipySessionIsTheReferencePath:
 
 
 # ---------------------------------------------------------------------------
-# The extras-assembly cache (satellite: no full re-stack per stage)
+# The extras-assembly cache (no full re-stack per stage)
 # ---------------------------------------------------------------------------
 
 class TestExtrasCache:
@@ -230,187 +169,59 @@ class TestExtrasCache:
 
 
 # ---------------------------------------------------------------------------
-# Registry-wide warm/cold identity (the acceptance pin)
+# Registry-wide escalating-vs-cold identity
 # ---------------------------------------------------------------------------
 
-def _escalating_options(options):
-    target = int(options.get("max_degree", 1))
-    return {**options, "max_degree": 1, "auto_degree": True,
-            "degree_limit": target}, target
-
-
-class TestWarmColdIdentity:
-    """Bounds and certificates identical across backends and fallbacks."""
+class TestEscalatingColdIdentity:
+    """One session across degree attempts changes nothing."""
 
     @pytest.mark.parametrize("bench", POLYNOMIAL, ids=lambda b: b.name)
-    def test_registry_identity_across_solvers(self, bench):
-        options, target = _escalating_options(dict(bench.analyzer_options))
+    def test_registry_identity(self, bench):
+        options = dict(bench.analyzer_options)
+        target = int(options.get("max_degree", 1))
         program = bench.build()
-        reference = analyze_program(program, **{**options, "solver": "scipy"})
-        if reference.degree < target:
+        escalated = analyze_program(program, **{
+            **options, "max_degree": 1, "auto_degree": True,
+            "degree_limit": target})
+        if escalated.degree < target:
             pytest.skip(f"{bench.name} already has a degree-1 bound")
-        assert reference.success, f"{bench.name}: {reference.message}"
-        assert reference.stats.solver_backend == "scipy"
-        assert reference.stats.attempted_degrees == [1, target]
+        cold = analyze_program(program, **{**options, "max_degree": target,
+                                           "auto_degree": False})
+        assert escalated.success, f"{bench.name}: {escalated.message}"
+        assert cold.success, f"{bench.name}: {cold.message}"
+        assert escalated.bound.pretty() == cold.bound.pretty()
+        assert canonical_certificate(escalated.certificate) \
+            == canonical_certificate(cold.certificate)
+        # The escalating session also answered the failed degree-1 attempt.
+        assert escalated.stats.attempted_degrees == [1, target]
+        assert escalated.stats.cold_solves > cold.stats.cold_solves > 0
 
-        # The auto-resolved backend (highs where installed, scipy here).
-        auto = analyze_program(program, **{**options, "solver": "auto"})
-        assert auto.success
-        assert auto.bound.pretty() == reference.bound.pretty()
-        assert canonical_certificate(auto.certificate) \
-            == canonical_certificate(reference.certificate)
-
-        # A forced mid-run cold fallback: every warm solve degrades to the
-        # reference path, which must change nothing.
-        with force_cold_solves():
-            fallback = analyze_program(program, **{**options,
-                                                   "solver": "auto"})
-        assert fallback.success
-        assert fallback.bound.pretty() == reference.bound.pretty()
-        assert canonical_certificate(fallback.certificate) \
-            == canonical_certificate(reference.certificate)
-        assert fallback.stats.warm_solves == 0
-        assert fallback.stats.cold_solves > 0
-
-    def test_scipy_counters(self):
-        program = nested_loop_program()
-        result = analyze_program(program, max_degree=1, auto_degree=True,
-                                 degree_limit=2, solver="scipy")
+    def test_solve_counters(self):
+        result = analyze_program(nested_loop_program(), max_degree=1,
+                                 auto_degree=True, degree_limit=2)
         assert result.success and result.degree == 2
-        stats = result.stats
-        assert stats.solver_backend == "scipy"
-        assert stats.warm_solves == 0 and stats.basis_reuses == 0
-        assert stats.cold_solves > 0
-        stage_dicts = [stage.to_dict() for stage in stats.stages]
-        for entry in stage_dicts:
-            for key in ("warm_solves", "cold_solves", "basis_reuses",
-                        "solver_fallbacks"):
-                assert key in entry
-        assert sum(entry["cold_solves"] for entry in stage_dicts) \
-            == stats.cold_solves
+        record = result.stats.to_dict()
+        assert record["warm_solves"] == 0
+        assert record["cold_solves"] == result.stats.cold_solves > 0
+        assert sum(stage["cold_solves"] for stage in record["stages"]) \
+            == result.stats.cold_solves
 
-    @needs_highspy
-    @pytest.mark.parametrize("bench", POLYNOMIAL, ids=lambda b: b.name)
-    def test_registry_identity_highs_backend(self, bench):
-        options, target = _escalating_options(dict(bench.analyzer_options))
-        program = bench.build()
-        reference = analyze_program(program, **{**options, "solver": "scipy"})
-        if reference.degree < target:
-            pytest.skip(f"{bench.name} already has a degree-1 bound")
-        warm = analyze_program(program, **{**options, "solver": "highs"})
-        assert warm.success
-        assert warm.bound.pretty() == reference.bound.pretty()
-        assert canonical_certificate(warm.certificate) \
-            == canonical_certificate(reference.certificate)
-        assert warm.stats.solver_backend == "highs"
-
-    @needs_highspy
-    def test_highs_reports_warm_solves_and_basis_reuses(self):
-        program = nested_loop_program()
-        result = analyze_program(program, max_degree=1, auto_degree=True,
-                                 degree_limit=2, solver="highs")
-        assert result.success and result.degree == 2
-        stats = result.stats
-        assert stats.solver_backend == "highs"
-        assert stats.warm_solves > 0
-        assert stats.basis_reuses > 0
-
-    def test_unknown_solver_is_a_structured_failure(self):
-        program = nested_loop_program()
-        result = analyze_program(program, solver="simplex9000")
-        assert not result.success
-        assert result.failure_kind == "analysis-error"
-        assert "unknown LP solver" in result.message
-
-    @pytest.mark.skipif(HAVE_HIGHSPY, reason="highspy installed here")
-    def test_unavailable_solver_is_a_structured_failure(self):
-        program = nested_loop_program()
-        result = analyze_program(program, solver="highs")
-        assert not result.success
-        assert result.failure_kind == "analysis-error"
-        assert "not available" in result.message
+    def test_record_drops_the_retired_solver_keys(self):
+        result = analyze_program(nested_loop_program(), max_degree=1,
+                                 auto_degree=True, degree_limit=2)
+        record = result.stats.to_dict()
+        for key in ("solver_backend", "basis_reuses", "solver_fallbacks"):
+            assert key not in record
+            assert all(key not in stage for stage in record["stages"])
 
 
 # ---------------------------------------------------------------------------
-# Job stamping (the --solver option participates in the cache key)
+# The retired knobs are not analyzer options
 # ---------------------------------------------------------------------------
 
-class TestJobStamping:
-    SOURCE = "proc main(x) { assume(x >= 1); while (x > 0) { x = x - 1; tick(1); } }"
-
-    def test_default_selector_is_stamped(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        job = AnalysisJob.create("toy", self.SOURCE)
-        assert job.options_dict["solver"] == AUTO
-
-    def test_env_default_is_stamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "scipy")
-        job = AnalysisJob.create("toy", self.SOURCE)
-        assert job.options_dict["solver"] == "scipy"
-
-    def test_explicit_option_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "scipy")
-        job = AnalysisJob.create("toy", self.SOURCE, {"solver": "auto"})
-        assert job.options_dict["solver"] == AUTO
-
-    def test_selector_changes_the_hash(self):
-        auto = AnalysisJob.create("toy", self.SOURCE, {"solver": "auto"})
-        scipy_job = AnalysisJob.create("toy", self.SOURCE,
-                                       {"solver": "scipy"})
-        assert auto.job_hash != scipy_job.job_hash
-
-    def test_selector_not_resolution_is_hashed(self, monkeypatch):
-        # Two processes with different *available* backends agree on the
-        # hash of an ``auto`` job: the selector is stamped, never the
-        # machine-dependent resolution.
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        job = AnalysisJob.create("toy", self.SOURCE)
-        assert job.options_dict["solver"] == AUTO
-        assert json.dumps(job.options_dict, sort_keys=True, default=str) \
-            == json.dumps(AnalysisJob.create("toy", self.SOURCE).options_dict,
-                          sort_keys=True, default=str)
-
-    def test_job_from_benchmark_passthrough(self):
-        from repro.bench.registry import get_benchmark
-        from repro.service.jobs import job_from_benchmark
-
-        job = job_from_benchmark(get_benchmark("rdwalk"), solver="scipy")
-        assert job.options_dict["solver"] == "scipy"
-
-    def test_run_job_accepts_the_stamped_option(self):
-        from repro.service.jobs import run_job
-
-        job = AnalysisJob.create("toy", self.SOURCE, {"solver": "scipy"})
-        result = run_job(job)
-        assert result.status == "ok"
-        assert result.pipeline.get("solver") == "scipy"
-
-
-# ---------------------------------------------------------------------------
-# CLI surface
-# ---------------------------------------------------------------------------
-
-class TestCliSolverFlag:
-    def _write_program(self, tmp_path):
-        path = tmp_path / "toy.imp"
-        path.write_text(
-            "proc main(x) { assume(x >= 1); "
-            "while (x > 0) { x = x - 1; tick(1); } }\n",
-            encoding="utf-8")
-        return str(path)
-
-    def test_analyze_accepts_scipy(self, tmp_path, capsys):
-        from repro import cli
-
-        code = cli.main(["analyze", self._write_program(tmp_path),
-                         "--solver", "scipy"])
-        assert code == 0
-        assert "expected cost bound" in capsys.readouterr().out
-
-    def test_analyze_rejects_unknown(self, tmp_path):
-        from repro import cli
-
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["analyze", self._write_program(tmp_path),
-                      "--solver", "simplex9000"])
-        assert excinfo.value.code == 2
+class TestRetiredOptions:
+    @pytest.mark.parametrize("key, value", [("solver", "scipy"),
+                                            ("prefilter", False)])
+    def test_analyzer_rejects_a_retired_option(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            analyze_program(nested_loop_program(), **{key: value})

@@ -97,6 +97,22 @@ class TestOps:
             response = client.request({"op": "analyze"})
         assert "source" in response["error"]
 
+    def test_unknown_option_is_a_bad_request(self, gateway):
+        host, port, thread_gateway = gateway
+        with GatewayClient(host, port) as client:
+            response = client.analyze(RDWALK, options={"prefilter": False},
+                                      request_id=5)
+            batch = list(client.batch([{"source": RDWALK,
+                                        "options": {"bogus": 1}}],
+                                      request_id=6))
+            assert client.ping()["ok"] is True
+        assert response == {"id": 5, "error": response["error"]}
+        assert "unknown analyzer option 'prefilter'" in response["error"]
+        assert len(batch) == 1 and batch[0]["id"] == 6
+        assert "unknown analyzer option 'bogus'" in batch[0]["error"]
+        # Rejected before any tier: nothing was analyzed.
+        assert thread_gateway.stats.analyses == 0
+
 
 class TestTiers:
     def test_cold_then_memory(self, gateway):

@@ -52,6 +52,23 @@ class TestJobHash:
     def test_canonical_source_ends_with_newline(self):
         assert canonical_source("proc main() { skip; }").endswith("}\n")
 
+    def test_hash_ignores_the_prefilter_oracle_switch(self, monkeypatch):
+        # The interval tier is observational, so the switch is not part of
+        # the job: one cache key serves both settings.
+        monkeypatch.setenv("REPRO_PREFILTER", "on")
+        tier_on = AnalysisJob.create("a", RDWALK)
+        monkeypatch.setenv("REPRO_PREFILTER", "off")
+        tier_off = AnalysisJob.create("a", RDWALK)
+        assert tier_on.options == tier_off.options
+        assert tier_on.job_hash == tier_off.job_hash
+
+
+class TestUnknownOptions:
+    @pytest.mark.parametrize("key", ["bogus", "solver", "prefilter"])
+    def test_create_rejects_a_key_that_is_not_a_config_field(self, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            AnalysisJob.create("a", RDWALK, {key: 1})
+
 
 class TestRunJob:
     def test_ok_job(self):
@@ -63,6 +80,10 @@ class TestRunJob:
         assert result.certificate is not None
         assert result.certificate["points"]
         assert result.engine["queries"] > 0
+        # The LP solve count readers take from the record.
+        assert result.pipeline["warm_solves"] == 0
+        assert result.pipeline["cold_solves"] > 0
+        assert "solver" not in result.pipeline
 
     def test_parse_error_job(self):
         result = run_job(AnalysisJob.create("bad", "proc main( {"))

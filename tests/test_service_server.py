@@ -61,6 +61,19 @@ class TestProtocol:
         responses = _run([{"op": "frobnicate"}])
         assert "error" in responses[0]
 
+    def test_unknown_option_is_a_bad_request(self):
+        responses = _run([{"id": 3, "source": RDWALK,
+                           "options": {"solver": "scipy"}},
+                          {"op": "batch", "id": 4,
+                           "jobs": [{"source": RDWALK,
+                                     "options": {"bogus": 1}}]},
+                          {"op": "ping"}])
+        assert responses[0] == {"id": 3, "error": responses[0]["error"]}
+        assert "unknown analyzer option 'solver'" in responses[0]["error"]
+        assert responses[1]["id"] == 4
+        assert "unknown analyzer option 'bogus'" in responses[1]["error"]
+        assert responses[2] == {"op": "ping", "ok": True}
+
     def test_shutdown_stops_the_loop(self):
         responses = _run([{"op": "shutdown", "id": 1},
                           {"op": "ping"}])           # never reached
