@@ -880,29 +880,38 @@ def _sampler_pass(runs: int = SAMPLER_RUNS) -> Dict[str, object]:
 # Baseline comparison (--check)
 # ---------------------------------------------------------------------------
 
+#: Per-program times :func:`find_regressions` gates: the analysis wall and
+#: the derive layer (rule walk, rewrite generation, ``Q:Weaken`` rows).
+GATED_TIMES = (("wall_seconds", "wall"), ("build_seconds", "build"))
+
+
 def find_regressions(report: Dict[str, object], baseline: Dict[str, object],
                      threshold: float = REGRESSION_THRESHOLD,
                      floor_seconds: float = REGRESSION_FLOOR_SECONDS
                      ) -> List[str]:
-    """Per-program wall-time regressions of ``report`` vs ``baseline``.
+    """Per-program wall-time and build-time regressions of ``report``.
 
-    A program regresses when it is both ``threshold`` (relative) slower and
-    ``floor_seconds`` (absolute) slower than the baseline -- the floor keeps
-    sub-50ms jitter on tiny programs from failing CI.  Programs missing
-    from either side are skipped (they changed identity, not speed).
+    A program regresses on a time (``wall_seconds``, ``build_seconds``)
+    when it is both ``threshold`` (relative) slower and ``floor_seconds``
+    (absolute) slower than the baseline -- the floor keeps sub-50ms jitter
+    on tiny programs from failing CI.  Programs missing from either side,
+    and times either side lacks, are skipped (they changed identity, not
+    speed).
     """
-    base_times = {row["name"]: row["wall_seconds"]
-                  for row in baseline.get("programs", ())}
+    base_rows = {row["name"]: row for row in baseline.get("programs", ())}
     problems = []
     for row in report["programs"]:
-        base = base_times.get(row["name"])
-        if base is None or base <= 0:
+        base_row = base_rows.get(row["name"])
+        if base_row is None:
             continue
-        fresh = row["wall_seconds"]
-        if fresh > base * (1 + threshold) and fresh - base > floor_seconds:
-            problems.append(
-                f"{row['name']}: {fresh:.3f}s vs baseline {base:.3f}s "
-                f"(+{(fresh / base - 1) * 100:.0f}%)")
+        for key, label in GATED_TIMES:
+            base, fresh = base_row.get(key), row.get(key)
+            if base is None or fresh is None or base <= 0:
+                continue
+            if fresh > base * (1 + threshold) and fresh - base > floor_seconds:
+                problems.append(
+                    f"{row['name']}: {label} {fresh:.3f}s vs baseline "
+                    f"{base:.3f}s (+{(fresh / base - 1) * 100:.0f}%)")
     return problems
 
 
@@ -988,8 +997,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"{LINT_MAX_OVERHEAD:.0%} of the sequential "
                              "analysis wall")
     parser.add_argument("--check", default=None, metavar="BASELINE.json",
-                        help="compare per-program wall times against this "
-                             "baseline and exit non-zero on a "
+                        help="compare per-program wall and build "
+                             "(derive) times against this baseline and exit "
+                             "non-zero on a "
                              f">{REGRESSION_THRESHOLD:.0%} regression")
     parser.add_argument("--threshold", type=float,
                         default=REGRESSION_THRESHOLD,

@@ -183,7 +183,7 @@ class PotentialAnnotation:
             scale, new_monomial = monomial.substitute(var, replacement)
             if scale == 0:
                 continue
-            contribution = coeff * scale
+            contribution = coeff if scale == 1 else coeff * scale
             existing = terms.get(new_monomial)
             terms[new_monomial] = contribution if existing is None \
                 else existing + contribution

@@ -34,6 +34,7 @@ from repro.core.derivation import DerivationStep, WeakenStep
 from repro.lang.errors import CertificateError
 from repro.logic.contexts import Context
 from repro.utils.polynomials import Polynomial
+from repro.utils.rationals import to_fraction
 
 
 @dataclass
@@ -89,7 +90,7 @@ def build_certificate(bound: Polynomial,
     for weaken in weakens:
         combination = []
         for multiplier, rewrite in zip(weaken.multipliers, weaken.rewrites):
-            value = multiplier.evaluate(assignment)
+            value = to_fraction(assignment[multiplier])
             if value != 0:
                 combination.append((value, rewrite.polynomial, rewrite.reason))
         weakenings.append(WeakenEvidence(

@@ -82,29 +82,18 @@ class AffExpr:
         self._const = const
         return self
 
-    @classmethod
-    def linear_combination(cls,
-                           items: Iterable[Tuple["AffExpr", Number]]) -> "AffExpr":
-        """``sum(expr * factor)`` built with a single dict accumulation.
+    def with_fresh_terms(self, fresh: Mapping[LPVar, Fraction]) -> "AffExpr":
+        """``self`` plus entries on variables it does not mention.
 
-        Equivalent to chaining ``+``/``*`` but allocates one expression
-        instead of one per step; used by the constraint-assembly hot paths.
+        No accumulation happens: the caller guarantees that ``fresh`` maps
+        variables absent from ``self`` to non-zero Fractions (e.g. the fresh
+        multiplier columns of one ``Q:Weaken`` row).
         """
-        terms: Dict[LPVar, Fraction] = {}
-        const = Fraction(0)
-        for expr, factor in items:
-            factor = to_fraction(factor)
-            if factor == 0:
-                continue
-            const += expr._const * factor
-            for var, coeff in expr._terms.items():
-                value = terms.get(var)
-                value = coeff * factor if value is None else value + coeff * factor
-                if value == 0:
-                    del terms[var]
-                else:
-                    terms[var] = value
-        return cls._raw(terms, const)
+        if not fresh:
+            return self
+        terms = dict(self._terms)
+        terms.update(fresh)
+        return AffExpr._raw(terms, self._const)
 
     # -- accessors -----------------------------------------------------------
 
@@ -262,12 +251,23 @@ class ConstraintSystem:
 
     def new_var(self, name: str, nonneg: bool = False) -> AffExpr:
         """Create a fresh LP variable and return it wrapped in an expression."""
-        var = LPVar(len(self.variables), name, nonneg)
-        self.variables.append(var)
+        var, = self.new_columns([name], nonneg)
         return AffExpr.of_var(var)
 
     def new_vars(self, count: int, prefix: str, nonneg: bool = False) -> List[AffExpr]:
         return [self.new_var(f"{prefix}_{i}", nonneg) for i in range(count)]
+
+    def new_columns(self, names: Iterable[str], nonneg: bool = False) -> List[LPVar]:
+        """Create one fresh LP variable per name, in order, as bare LPVars.
+
+        The bulk form of :meth:`new_var` for callers that place the columns
+        into rows themselves (``Q:Weaken`` multipliers).
+        """
+        start = len(self.variables)
+        created = [LPVar(start + offset, name, nonneg)
+                   for offset, name in enumerate(names)]
+        self.variables.extend(created)
+        return created
 
     @property
     def num_variables(self) -> int:

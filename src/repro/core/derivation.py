@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.annotations import PotentialAnnotation
 from repro.core.basegen import (
@@ -43,7 +43,7 @@ from repro.core.basegen import (
     template_monomials_for_join,
     template_monomials_for_loop,
 )
-from repro.core.constraints import AffExpr, ConstraintSystem
+from repro.core.constraints import AffExpr, ConstraintSystem, LPVar
 from repro.core.rewrite import RewriteFunction, generate_rewrites
 from repro.core.specs import SpecContext
 from repro.lang import ast
@@ -81,7 +81,8 @@ class WeakenStep:
     stronger: PotentialAnnotation
     weaker: PotentialAnnotation
     rewrites: List[RewriteFunction]
-    multipliers: List[AffExpr]
+    #: One non-negative multiplier column per rewrite function, in order.
+    multipliers: List[LPVar]
     rows: Dict[Monomial, int] = field(default_factory=dict)
 
 
@@ -139,6 +140,12 @@ class DerivationBuilder:
         self._counter += 1
         return f"{prefix}{self._counter}"
 
+    def _fresh_names(self, prefix: str, count: int) -> List[str]:
+        """``count`` successive :meth:`_fresh_name` results."""
+        start = self._counter + 1
+        self._counter += count
+        return [f"{prefix}{number}" for number in range(start, start + count)]
+
     def _record(self, command: ast.Command, rule: str,
                 pre: PotentialAnnotation, post: PotentialAnnotation) -> None:
         description = type(command).__name__
@@ -163,6 +170,42 @@ class DerivationBuilder:
 
     # -- weakening ----------------------------------------------------------------
 
+    def _weaken_rows(self, origin: str, rewrites: Sequence[RewriteFunction],
+                     stronger: PotentialAnnotation,
+                     weaker: PotentialAnnotation,
+                     monomials: Set[Monomial],
+                     emit: Callable[[Monomial, AffExpr, str], None]
+                     ) -> List[LPVar]:
+        """Emit the ``Q:Weaken`` equations ``stronger - weaker - F*u == 0``.
+
+        Shared by :meth:`weaken` and :meth:`extend_weaken`.  One fresh
+        non-negative multiplier column ``u_k`` is created per rewrite
+        function; the columns are indexed by monomial once (``{monomial:
+        {u_k: -coeff}}``), and each row is the template part ``stronger -
+        weaker`` plus that monomial's column entries.  The multipliers are
+        fresh, so the two parts never share a variable and no coefficient
+        is accumulated.  Rows are emitted in monomial order over
+        ``monomials`` and every monomial a rewrite mentions; ``emit``
+        receives ``(monomial, row, origin)``.  Returns the multipliers.
+        """
+        multipliers = self.system.new_columns(
+            self._fresh_names(f"u_{origin}_", len(rewrites)), nonneg=True)
+        columns: Dict[Monomial, Dict[LPVar, Fraction]] = {}
+        for multiplier, rewrite in zip(multipliers, rewrites):
+            for monomial, coeff in rewrite.polynomial.term_items():
+                column = columns.get(monomial)
+                if column is None:
+                    columns[monomial] = {multiplier: -coeff}
+                else:
+                    column[multiplier] = -coeff
+        rows = set(monomials)
+        rows.update(columns)
+        for monomial in sorted(rows, key=Monomial.sort_key):
+            template = stronger.coefficient(monomial) - weaker.coefficient(monomial)
+            emit(monomial, template.with_fresh_terms(columns.get(monomial, {})),
+                 f"weaken:{origin}:{monomial}")
+        return multipliers
+
     def weaken(self, context: Context, stronger: PotentialAnnotation,
                weaker: PotentialAnnotation, origin: str) -> None:
         """Constrain ``Phi_stronger >= Phi_weaker`` on all states satisfying ``context``.
@@ -179,26 +222,15 @@ class DerivationBuilder:
         monomials.add(Monomial.one())
         max_degree = max((m.degree() for m in monomials), default=1)
         rewrites = generate_rewrites(context, monomials, max_degree)
-        multipliers = [self.system.new_var(self._fresh_name(f"u_{origin}_"), nonneg=True)
-                       for _ in rewrites]
-        # Index the rewrite columns by monomial once, so each equation below
-        # is assembled from exactly its non-zero entries (instead of scanning
-        # every rewrite per monomial) with a single linear combination.
-        by_monomial: Dict[Monomial, List[Tuple[AffExpr, Fraction]]] = {}
-        for multiplier, rewrite in zip(multipliers, rewrites):
-            for monomial, coeff in rewrite.polynomial.term_items():
-                by_monomial.setdefault(monomial, []).append((multiplier, -coeff))
-        all_monomials: Set[Monomial] = set(monomials)
-        all_monomials.update(by_monomial)
         rows: Dict[Monomial, int] = {}
-        for monomial in sorted(all_monomials, key=lambda m: m.sort_key()):
-            pairs = [(stronger.coefficient(monomial), 1),
-                     (weaker.coefficient(monomial), -1)]
-            pairs.extend(by_monomial.get(monomial, ()))
-            index = self.system.add_eq(AffExpr.linear_combination(pairs),
-                                       origin=f"weaken:{origin}:{monomial}")
+
+        def emit(monomial: Monomial, row: AffExpr, row_origin: str) -> None:
+            index = self.system.add_eq(row, origin=row_origin)
             if index is not None:
                 rows[monomial] = index
+
+        multipliers = self._weaken_rows(origin, rewrites, stronger, weaker,
+                                        monomials, emit)
         self.weakens.append(WeakenStep(origin, context, stronger, weaker,
                                        rewrites, multipliers, rows))
 
@@ -517,25 +549,18 @@ class DerivationBuilder:
         monomials.add(Monomial.one())
         max_degree = max((m.degree() for m in monomials), default=1)
         rewrites = generate_rewrites(context, monomials, max_degree)
+        # Polynomials cache their hash, and the memoised rewrites shared
+        # with the base walk compare by identity.
         known = {rewrite.polynomial for rewrite in record.rewrites}
         fresh = [rewrite for rewrite in rewrites
                  if rewrite.polynomial not in known]
-        multipliers = [self.system.new_var(self._fresh_name(f"u_{origin}_"),
-                                           nonneg=True)
-                       for _ in fresh]
-        by_monomial: Dict[Monomial, List[Tuple[AffExpr, Fraction]]] = {}
-        for multiplier, rewrite in zip(multipliers, fresh):
-            for monomial, coeff in rewrite.polynomial.term_items():
-                by_monomial.setdefault(monomial, []).append((multiplier, -coeff))
+
+        def emit(monomial: Monomial, row: AffExpr, row_origin: str) -> None:
+            self._extend_rows(record.rows, monomial, row, origin=row_origin)
+
         delta_monomials: Set[Monomial] = set(dstronger.terms) | set(dweaker.terms)
-        delta_monomials.update(by_monomial)
-        for monomial in sorted(delta_monomials, key=lambda m: m.sort_key()):
-            pairs = [(dstronger.coefficient(monomial), 1),
-                     (dweaker.coefficient(monomial), -1)]
-            pairs.extend(by_monomial.get(monomial, ()))
-            self._extend_rows(record.rows, monomial,
-                              AffExpr.linear_combination(pairs),
-                              origin=f"weaken:{origin}:{monomial}")
+        multipliers = self._weaken_rows(origin, fresh, dstronger, dweaker,
+                                        delta_monomials, emit)
         record.stronger = stronger
         record.weaker = weaker
         # generate_rewrites returns shared memoised lists: concatenate into

@@ -287,8 +287,11 @@ class AnalysisPipeline:
             builder.register_spec_delta(name, delta)
         for name in state.recursive:
             builder.extend_specification(name)
+        # The main body's continuation is the zero annotation at every
+        # degree (as in the base walk), so its full post and its delta are
+        # both zero: ``post == base_post + dpost``.
         state.initial, _ = builder.extend_command(
-            program.main_procedure.body, state.initial,
+            program.main_procedure.body, PotentialAnnotation.zero(),
             PotentialAnnotation.zero())
         builder.end_extension()
         extension = system.end_extension()

@@ -37,7 +37,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.logic.contexts import Context
 from repro.logic.entailment import active_domain
 from repro.utils.linear import LinExpr
-from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
+from repro.utils.polynomials import (
+    IntervalAtom,
+    Monomial,
+    Polynomial,
+    clear_polynomial_caches,
+)
 
 
 class RewriteFunction:
@@ -129,14 +134,20 @@ _REWRITE_CACHE_LIMIT = 4096
 
 
 def clear_rewrite_caches() -> None:
-    """Drop the process-wide rewrite memos.
+    """Drop every process-wide memo the derivation keeps.
 
-    Used between cold-timing passes (``perfsmoke --compare-domains``): the
-    memos embed entailment-derived bounds, so a warm memo would let one
-    domain's timing leg coast on another's query answers.
+    That is the rewrite memos here plus the atom/monomial intern tables and
+    the product and substitution memos of :mod:`repro.utils.polynomials`.  Used between
+    cold-timing passes (``perfsmoke --compare-domains``, the benchmark's
+    per-analysis reset): the memos embed entailment-derived bounds, so a
+    warm memo would let one domain's timing leg coast on another's query
+    answers, and a warm table would make a "cold" analysis partly warm.
     """
     _REWRITE_CACHE.clear()
     _ATOM_REWRITE_CACHE.clear()
+    _DISCARD_CACHE.clear()
+    _DIFF_CACHE.clear()
+    clear_polynomial_caches()
 
 
 def generate_rewrites(context: Context,
@@ -253,6 +264,24 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     return rewrites, degree_one
 
 
+#: Memo for the category-1 rewrites: ``M >= 0`` depends on ``M`` alone, so
+#: one shared function per monomial serves every weakening and degree (and
+#: lets the escalation filter recognise it by identity).
+_DISCARD_CACHE: Dict[Monomial, RewriteFunction] = {}
+_DISCARD_CACHE_LIMIT = 1 << 16
+
+
+def _discard_rewrite(monomial: Monomial) -> RewriteFunction:
+    rewrite = _DISCARD_CACHE.get(monomial)
+    if rewrite is None:
+        rewrite = RewriteFunction(Polynomial.of_monomial(monomial),
+                                  reason=lambda m=monomial: f"{m} >= 0")
+        if len(_DISCARD_CACHE) >= _DISCARD_CACHE_LIMIT:
+            _DISCARD_CACHE.clear()
+        _DISCARD_CACHE[monomial] = rewrite
+    return rewrite
+
+
 def _generate_rewrites(context: Context,
                        monomials: Iterable[Monomial],
                        max_degree: int,
@@ -262,10 +291,7 @@ def _generate_rewrites(context: Context,
     rewrites: List[RewriteFunction] = []
 
     # 1. every base function may be discarded.
-    for monomial in pool:
-        rewrites.append(RewriteFunction(
-            Polynomial.of_monomial(monomial),
-            reason=lambda m=monomial: f"{m} >= 0"))
+    rewrites.extend(_discard_rewrite(monomial) for monomial in pool)
 
     # 2.+3. the atom-level rewrites (memoised across degrees/weakenings).
     shared, degree_one = _atom_rewrites(context, tuple(atoms),
@@ -281,18 +307,18 @@ def _generate_rewrites(context: Context,
         for monomial in pool:
             if monomial.degree() >= 2:
                 higher_atoms.update(monomial.atoms())
+        factors = [Monomial.of_atom(atom)
+                   for atom in sorted(higher_atoms, key=lambda a: a.sort_key())]
         lifted: List[RewriteFunction] = []
         max_lifted = 2000
         for poly, reason, base_atom in degree_one:
             if higher_atoms and base_atom not in higher_atoms:
                 continue
-            for atom in sorted(higher_atoms, key=lambda a: a.sort_key()):
-                factor = Monomial.of_atom(atom)
-                if factor.degree() + poly.degree() > max_degree:
-                    continue
-                product = poly * Polynomial.of_monomial(factor)
+            if poly.degree() + 1 > max_degree:
+                continue  # every factor is a single atom
+            for factor in factors:
                 lifted.append(RewriteFunction(
-                    product,
+                    poly.times_monomial(factor),
                     reason=lambda r=reason, f=factor:
                         f"({r() if callable(r) else r}) * {f}"))
                 if len(lifted) >= max_lifted:

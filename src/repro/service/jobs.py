@@ -60,7 +60,11 @@ from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 #: (one LP path; the interval tier is always on outside the test oracle),
 #: so equivalent configurations share one cache key.  Option keys that are
 #: not :class:`~repro.core.analyzer.AnalyzerConfig` fields are rejected.
-SCHEMA_VERSION = 8
+#: v9: degree escalation replays the main body against the zero
+#: continuation (it used the degree-``d`` pre-annotation), so degree-2
+#: certificates change; v8 ones record ``loop-exit`` weakenings the
+#: certificate checker rejects and must not be served.
+SCHEMA_VERSION = 9
 
 #: Statuses a job can end in.  ``ok``/``no-bound``/``parse-error`` are
 #: deterministic outcomes of the job's content and therefore cacheable;

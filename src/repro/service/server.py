@@ -180,7 +180,7 @@ class AnalysisServer:
         from repro.logic.entailment import get_engine
 
         store_stats = None
-        if self.store:
+        if self.store is not None:
             store_stats = self.store.stats.as_dict()
             store_stats["quarantine_records"] = self.store.quarantine_count()
         return {
@@ -197,7 +197,7 @@ class AnalysisServer:
         from repro.service.jobs import SCHEMA_VERSION
 
         store_state = None
-        if self.store:
+        if self.store is not None:
             store_state = {
                 "root": self.store.root,
                 "records": len(self.store),

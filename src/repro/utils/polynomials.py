@@ -15,29 +15,69 @@ canonical form and reconstruct the interval notation for printing.
 coefficients.  Polynomials are the concrete potential functions (after the LP
 has been solved), the rewrite functions used in ``Q:Weaken``, and the symbolic
 cost of ``tick`` commands with expression arguments.
+
+Atoms and monomials are *interned*: constructing an atom or monomial equal
+to a live one returns that same object, so the tuple and dict comparisons on
+the derivation's hot paths short-circuit on identity.  Equality stays
+structural, so correctness never depends on interning.  The intern tables
+and the product and substitution memos are bounded, and
+:func:`clear_polynomial_caches` empties them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.utils.linear import LinExpr, State
 from repro.utils.rationals import Number, pretty_fraction, to_fraction
 
+#: Intern tables and the monomial product/substitution memos.  Each is
+#: emptied when full (a cleared table costs identity hits, not correctness).
+_ATOMS: Dict[LinExpr, "IntervalAtom"] = {}
+_MONOMIALS: Dict[FrozenSet[Tuple["IntervalAtom", int]], "Monomial"] = {}
+_PRODUCTS: Dict[Tuple["Monomial", "Monomial"], "Monomial"] = {}
+_SUBSTITUTIONS: Dict[Tuple["Monomial", str, LinExpr],
+                     Tuple[Fraction, "Monomial"]] = {}
+_INTERN_LIMIT = 1 << 16
+_PRODUCT_LIMIT = 1 << 17
+
+
+def clear_polynomial_caches() -> None:
+    """Empty the atom/monomial intern tables and the product and
+    substitution memos."""
+    _ATOMS.clear()
+    _MONOMIALS.clear()
+    _PRODUCTS.clear()
+    _SUBSTITUTIONS.clear()
+
 
 class IntervalAtom:
-    """``max(0, D)`` for a canonical (scale-normalised) linear expression D."""
+    """``max(0, D)`` for a canonical (scale-normalised) linear expression D.
+
+    Interned: equal differences yield the same atom object.
+    """
 
     __slots__ = ("_diff", "_hash")
 
-    def __init__(self, diff: LinExpr) -> None:
+    def __new__(cls, diff: LinExpr) -> "IntervalAtom":
+        atom = _ATOMS.get(diff)
+        if atom is not None:
+            return atom
         if diff.is_constant():
             raise ValueError(
                 "constant interval atoms are not allowed; fold them into the "
                 "constant monomial instead (use atom_product)")
-        self._diff = diff
-        self._hash: Optional[int] = None
+        atom = object.__new__(cls)
+        atom._diff = diff
+        atom._hash = hash(("IntervalAtom", diff))
+        if len(_ATOMS) >= _INTERN_LIMIT:
+            _ATOMS.clear()
+        _ATOMS[diff] = atom
+        return atom
+
+    def __reduce__(self):
+        return IntervalAtom, (self._diff,)
 
     @property
     def diff(self) -> LinExpr:
@@ -52,13 +92,13 @@ class IntervalAtom:
         return self._diff.variables()
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, IntervalAtom):
             return NotImplemented
         return self._diff == other._diff
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(("IntervalAtom", self._diff))
         return self._hash
 
     def sort_key(self) -> Tuple:
@@ -106,12 +146,15 @@ def atom_product(diff: LinExpr) -> AtomTerm:
 
 
 class Monomial:
-    """A product of interval atoms (the empty product is the constant ``1``)."""
+    """A product of interval atoms (the empty product is the constant ``1``).
 
-    __slots__ = ("_factors", "_hash")
+    Interned: equal factor multisets yield the same monomial object.
+    """
 
-    def __init__(self, factors: Union[None, Iterable[IntervalAtom],
-                                      Mapping[IntervalAtom, int]] = None) -> None:
+    __slots__ = ("_factors", "_hash", "_sort_key", "_str")
+
+    def __new__(cls, factors: Union[None, Iterable[IntervalAtom],
+                                    Mapping[IntervalAtom, int]] = None) -> "Monomial":
         counts: Dict[IntervalAtom, int] = {}
         if factors is None:
             pass
@@ -124,9 +167,10 @@ class Monomial:
         else:
             for atom in factors:
                 counts[atom] = counts.get(atom, 0) + 1
-        self._factors: Tuple[Tuple[IntervalAtom, int], ...] = tuple(
-            sorted(counts.items(), key=lambda item: item[0].sort_key()))
-        self._hash: Optional[int] = None
+        return _monomial(counts)
+
+    def __reduce__(self):
+        return Monomial, (dict(self._factors),)
 
     # -- constructors -----------------------------------------------------
 
@@ -164,10 +208,19 @@ class Monomial:
     # -- algebra ------------------------------------------------------------
 
     def multiply(self, other: "Monomial") -> "Monomial":
-        counts = {atom: power for atom, power in self._factors}
-        for atom, power in other._factors:
-            counts[atom] = counts.get(atom, 0) + power
-        return Monomial(counts)
+        if not other._factors:
+            return self
+        key = (self, other)
+        product = _PRODUCTS.get(key)
+        if product is None:
+            counts = dict(self._factors)
+            for atom, power in other._factors:
+                counts[atom] = counts.get(atom, 0) + power
+            product = _monomial(counts)
+            if len(_PRODUCTS) >= _PRODUCT_LIMIT:
+                _PRODUCTS.clear()
+            _PRODUCTS[key] = product
+        return product
 
     def evaluate(self, state: State) -> Fraction:
         result = Fraction(1)
@@ -187,12 +240,24 @@ class Monomial:
         substitution -- this is what makes the ``Q:Assign`` rule exact in this
         implementation (cf. DESIGN.md section 2).
         """
+        key = (self, var, replacement)
+        result = _SUBSTITUTIONS.get(key)
+        if result is None:
+            result = self._substitute(var, replacement)
+            if len(_SUBSTITUTIONS) >= _PRODUCT_LIMIT:
+                _SUBSTITUTIONS.clear()
+            _SUBSTITUTIONS[key] = result
+        return result
+
+    def _substitute(self, var: str, replacement: LinExpr) -> Tuple[Fraction, "Monomial"]:
         coeff = Fraction(1)
         counts: Dict[IntervalAtom, int] = {}
+        touched = False
         for atom, power in self._factors:
             if atom.diff.coefficient(var) == 0:
                 counts[atom] = counts.get(atom, 0) + power
                 continue
+            touched = True
             new_diff = atom.diff.substitute(var, replacement)
             scale, new_atom = atom_product(new_diff)
             coeff *= scale ** power
@@ -200,42 +265,71 @@ class Monomial:
                 return Fraction(0), Monomial.one()
             if new_atom is not None:
                 counts[new_atom] = counts.get(new_atom, 0) + power
-        return coeff, Monomial(counts)
+        if not touched:
+            return coeff, self
+        return coeff, _monomial(counts)
 
     # -- comparisons / hashing -----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Monomial):
             return NotImplemented
         return self._factors == other._factors
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._factors)
         return self._hash
 
     def sort_key(self) -> Tuple:
-        return (self.degree(), tuple((atom.sort_key(), power) for atom, power in self._factors))
+        key = self._sort_key
+        if key is None:
+            key = self._sort_key = (
+                self.degree(),
+                tuple((atom.sort_key(), power) for atom, power in self._factors))
+        return key
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
 
     def __str__(self) -> str:
-        if not self._factors:
-            return "1"
-        parts = []
-        for atom, power in self._factors:
-            if power == 1:
-                parts.append(str(atom))
-            else:
-                parts.append(f"{atom}^{power}")
-        return "*".join(parts)
+        rendered = self._str
+        if rendered is None:
+            parts = []
+            for atom, power in self._factors:
+                if power == 1:
+                    parts.append(str(atom))
+                else:
+                    parts.append(f"{atom}^{power}")
+            rendered = self._str = "*".join(parts) if parts else "1"
+        return rendered
+
+
+def _monomial(counts: Dict[IntervalAtom, int]) -> Monomial:
+    """The interned monomial with factor multiset ``counts`` (powers > 0)."""
+    key = frozenset(counts.items())
+    monomial = _MONOMIALS.get(key)
+    if monomial is None:
+        monomial = object.__new__(Monomial)
+        factors = tuple(sorted(counts.items(),
+                               key=lambda item: item[0].sort_key()))
+        monomial._factors = factors
+        monomial._hash = hash(factors)
+        monomial._sort_key = None
+        monomial._str = None
+        if len(_MONOMIALS) >= _INTERN_LIMIT:
+            _MONOMIALS.clear()
+        _MONOMIALS[key] = monomial
+    return monomial
 
 
 class Polynomial:
-    """A finite linear combination of monomials with rational coefficients."""
+    """A finite linear combination of monomials with rational coefficients.
 
-    __slots__ = ("_terms",)
+    Immutable; the hash is computed once, order-independently, on first use.
+    """
+
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Number]] = None) -> None:
         clean: Dict[Monomial, Fraction] = {}
@@ -243,9 +337,17 @@ class Polynomial:
             for monomial, coeff in terms.items():
                 frac = to_fraction(coeff)
                 if frac != 0:
-                    clean[monomial] = clean.get(monomial, Fraction(0)) + frac
-        self._terms: Dict[Monomial, Fraction] = {
-            monomial: coeff for monomial, coeff in clean.items() if coeff != 0}
+                    clean[monomial] = frac
+        self._terms = clean
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def _raw(cls, terms: Dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap an already-clean term dict (non-zero Fractions, owned)."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self._hash = None
+        return self
 
     # -- constructors ---------------------------------------------------------
 
@@ -339,6 +441,12 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def times_monomial(self, monomial: Monomial) -> "Polynomial":
+        """``self * monomial``: multiplying by one monomial is injective on
+        monomials, so the terms map one-to-one and nothing accumulates."""
+        return Polynomial._raw({term.multiply(monomial): coeff
+                                for term, coeff in self._terms.items()})
+
     def scale(self, factor: Number) -> "Polynomial":
         return self * factor
 
@@ -367,7 +475,9 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(((m.sort_key(), c) for m, c in self._terms.items()))))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -325,6 +325,32 @@ class TestPerfCheck:
         assert find_regressions(self._report({"new": 9.9}),
                                 self._report({"old": 0.1})) == []
 
+    def test_flags_build_regression_under_a_steady_wall(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # The derive layer doubled while a faster solve hid it in the wall.
+        baseline = {"programs": [{"name": "a", "wall_seconds": 2.0,
+                                  "build_seconds": 1.0}]}
+        fresh = {"programs": [{"name": "a", "wall_seconds": 2.0,
+                               "build_seconds": 2.0}]}
+        problems = find_regressions(fresh, baseline)
+        assert problems == ["a: build 2.000s vs baseline 1.000s (+100%)"]
+
+    def test_build_gate_uses_the_same_threshold_and_floor(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        def report(build):
+            return {"programs": [{"name": "a", "wall_seconds": 1.0,
+                                  "build_seconds": build}]}
+
+        # +20%: under the 25% threshold.
+        assert find_regressions(report(0.6), report(0.5)) == []
+        # +100% but only +30ms: under the absolute floor.
+        assert find_regressions(report(0.06), report(0.03)) == []
+        # A side without build_seconds is not gated.
+        assert find_regressions(report(None), report(0.5)) == []
+        assert find_regressions(report(2.0), self._report({"a": 1.0})) == []
+
     def test_check_cli_against_self(self, tmp_path):
         from repro.bench.perfsmoke import main
 

@@ -192,3 +192,89 @@ def test_monomial_substitution_exactness(expr, state):
     new_state = dict(state)
     new_state["x"] = expr.evaluate(state)
     assert coeff * substituted.evaluate(state) == monomial.evaluate(new_state)
+
+
+# -- interning, cached hashes and the monomial fast path --------------------------
+
+class TestInterning:
+    def test_equal_atoms_are_one_object(self):
+        assert IntervalAtom(diff({"x": 1})) is IntervalAtom(diff({"x": 1}))
+        _, scaled = atom_product(diff({"x": 2}))
+        assert scaled is IntervalAtom(X)
+
+    def test_monomial_constructors_agree(self):
+        a, b = IntervalAtom(X), IntervalAtom(Y)
+        assert Monomial.of_atom(a) is Monomial([a]) is Monomial({a: 1})
+        assert Monomial.one() is Monomial() is Monomial({a: 0})
+        assert Monomial([a, b]) is Monomial([b, a]) is Monomial({b: 1, a: 1})
+
+    def test_multiply_returns_the_interned_product(self):
+        a = Monomial.of_atom(IntervalAtom(X))
+        b = Monomial.of_atom(IntervalAtom(Y))
+        product = a.multiply(b)
+        assert product is b.multiply(a) is a.multiply(b)
+        assert product is Monomial([IntervalAtom(X), IntervalAtom(Y)])
+        assert a.multiply(Monomial.one()) is a
+        assert Monomial.one().multiply(a) is a
+
+    def test_substitute_returns_interned_monomials(self):
+        m = Monomial.of_atom(IntervalAtom(X))
+        coeff, shifted = m.substitute("x", diff({"x": 1}, -1))
+        assert coeff == 1
+        assert shifted is Monomial.of_atom(IntervalAtom(diff({"x": 1}, -1)))
+        coeff, same = m.substitute("y", diff({"y": 1}, 5))
+        assert coeff == 1 and same is m
+
+    def test_equality_survives_a_cleared_table(self):
+        from repro.utils.polynomials import clear_polynomial_caches
+
+        before = Monomial.of_atom(IntervalAtom(X_MINUS_Y))
+        clear_polynomial_caches()
+        after = Monomial.of_atom(IntervalAtom(X_MINUS_Y))
+        assert after is not before
+        assert after == before and hash(after) == hash(before)
+        assert {before: 1}[after] == 1
+
+    def test_pickle_round_trip_reinterns(self):
+        import pickle
+
+        m = Monomial({IntervalAtom(X): 2, IntervalAtom(Y): 1})
+        assert pickle.loads(pickle.dumps(m)) is m
+        poly = Polynomial({m: Fraction(3, 2), Monomial.one(): 1})
+        assert pickle.loads(pickle.dumps(poly)) == poly
+
+
+class TestCachedHash:
+    def test_insertion_order_does_not_matter(self):
+        a = Monomial.of_atom(IntervalAtom(X))
+        b = Monomial.of_atom(IntervalAtom(Y))
+        p = Polynomial({a: 1, b: Fraction(-1, 3)})
+        q = Polynomial({b: Fraction(-1, 3), a: 1})
+        assert p == q and hash(p) == hash(q)
+
+    def test_routes_to_the_same_polynomial_hash_alike(self):
+        px, py = Polynomial.interval(X), Polynomial.interval(Y)
+        routes = [px * py + 1, py * px + 1, (px + 1) * (py + 1) - px - py,
+                  Polynomial.constant(1) + px.times_monomial(
+                      Monomial.of_atom(IntervalAtom(Y)))]
+        for route in routes:
+            assert route == routes[0]
+            assert hash(route) == hash(routes[0])
+        assert len(set(routes)) == 1
+
+    def test_hash_is_cached(self):
+        poly = Polynomial.interval(X) + 2
+        assert poly._hash is None
+        value = hash(poly)
+        assert poly._hash == value == hash(poly)
+
+
+@given(lin_exprs, lin_exprs, lin_exprs)
+def test_times_monomial_equals_generic_product(e1, e2, e3):
+    poly = Polynomial.interval(e1) * 3 - Polynomial.interval(e2) + Fraction(1, 2)
+    _, atom = atom_product(e3)
+    factor = Monomial({atom: 2})
+    fast = poly.times_monomial(factor)
+    generic = poly * Polynomial.of_monomial(factor)
+    assert fast == generic
+    assert list(fast.term_items()) == list(generic.term_items())

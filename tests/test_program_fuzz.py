@@ -1,6 +1,6 @@
 """Seeded random-program fuzzing: front-end stability + analyzer soundness.
 
-Two properties over a family of randomly generated probabilistic programs
+Three properties over a family of randomly generated probabilistic programs
 (loops over decremented counters, probabilistic branches, sampled
 increments, constant and nested ticks):
 
@@ -14,6 +14,8 @@ increments, constant and nested ticks):
   (within confidence bounds): ``bound >= mean - 4 * stderr``.  The sampler
   is an independent implementation of the semantics, so this catches
   unsound derivations rather than mere crashes.
+* **checked certificates** -- every bound's certificate passes
+  ``check_certificate``, degree-2 escalations included.
 
 The generator is deliberately biased towards programs that terminate with
 finite expected cost (decrement-dominant loops) so a healthy fraction
@@ -27,6 +29,7 @@ from fractions import Fraction
 from typing import List
 
 from repro.core.analyzer import analyze_program
+from repro.core.certificates import check_certificate
 from repro.lang import builder as B
 from repro.lang.distributions import Uniform
 from repro.lang.parser import parse_program
@@ -154,6 +157,27 @@ def test_bounds_dominate_sampled_means():
     assert not failures, "unsound bounds:\n" + "\n".join(failures)
     assert analyzed >= 15, \
         f"generator produced too few analyzable programs ({analyzed})"
+
+
+def test_certificates_check():
+    """Every fuzzed bound's certificate passes the checker, including the
+    ones that escalate to degree 2 (the extension walk's evidence)."""
+    rng = random.Random(0x5EED)
+    analyzed = escalated = 0
+    failures: List[str] = []
+    for index in range(PROGRAM_COUNT):
+        program = random_program(rng)
+        result = analyze_program(program, max_degree=1, degree_limit=2)
+        if not result.success:
+            continue
+        analyzed += 1
+        escalated += result.degree == 2
+        problems = check_certificate(result.certificate)
+        if problems:
+            failures.append(f"program {index}: {problems[0]}\n"
+                            f"{program_to_source(program)}")
+    assert not failures, "rejected certificates:\n" + "\n".join(failures)
+    assert analyzed >= 15 and escalated >= 5, (analyzed, escalated)
 
 
 def test_soundness_holds_under_polyhedra_domain():

@@ -176,3 +176,48 @@ class TestBaseFunctionHeuristic:
         rendered = {str(m) for m in monomials}
         assert "|[l, h]|" in rendered or "|[l + 1, h]|" in rendered
         assert any(m.degree() == 2 for m in monomials)
+
+
+class TestCacheReset:
+    @staticmethod
+    def _tables():
+        from repro.core import rewrite
+        from repro.utils import polynomials
+
+        return {
+            "rewrites": (rewrite._REWRITE_CACHE, rewrite._REWRITE_CACHE_LIMIT),
+            "atom rewrites": (rewrite._ATOM_REWRITE_CACHE,
+                              rewrite._ATOM_REWRITE_CACHE_LIMIT),
+            "discards": (rewrite._DISCARD_CACHE, rewrite._DISCARD_CACHE_LIMIT),
+            "differences": (rewrite._DIFF_CACHE, rewrite._DIFF_CACHE_LIMIT),
+            "atoms": (polynomials._ATOMS, polynomials._INTERN_LIMIT),
+            "monomials": (polynomials._MONOMIALS, polynomials._INTERN_LIMIT),
+            "products": (polynomials._PRODUCTS, polynomials._PRODUCT_LIMIT),
+            "substitutions": (polynomials._SUBSTITUTIONS,
+                              polynomials._PRODUCT_LIMIT),
+        }
+
+    def test_clear_rewrite_caches_empties_every_table(self):
+        from repro import analyze_program
+        from repro.core.rewrite import clear_rewrite_caches
+        from tests.test_pipeline_incremental import nested_loop_program
+
+        result = analyze_program(nested_loop_program(), max_degree=1,
+                                 auto_degree=True, degree_limit=2)
+        assert result.success and result.degree == 2
+        sizes = {name: len(table) for name, (table, _) in self._tables().items()}
+        assert all(size > 0 for size in sizes.values()), sizes
+        clear_rewrite_caches()
+        assert all(not table for table, _ in self._tables().values())
+
+    def test_tables_are_bounded(self):
+        for name, (_, limit) in self._tables().items():
+            assert 0 < limit <= 1 << 17, name
+
+    def test_shared_discard_rewrites(self):
+        pool = [Monomial.one(), Monomial.of_atom(X)]
+        first = generate_rewrites(Context.top(), pool, max_degree=1)
+        second = generate_rewrites(Context.top(), pool + [Monomial({X: 2})],
+                                   max_degree=2)
+        discards = {id(r) for r in first if len(r.polynomial.terms) == 1}
+        assert discards and discards <= {id(r) for r in second}

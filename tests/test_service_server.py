@@ -116,3 +116,12 @@ class TestStoreAndBatch:
         assert stats["requests_served"] == 1
         assert stats["store"]["writes"] == 1
         assert "queries" in stats["engine"]
+
+    def test_an_empty_store_still_reports(self, tmp_path):
+        # A store with no records is a configured store: stats and health
+        # describe it instead of reporting no store at all.
+        store = ResultStore(str(tmp_path))
+        stats, health = _run([{"op": "stats"}, {"op": "health"}], store=store)
+        assert stats["store"]["writes"] == 0
+        assert stats["store"]["quarantine_records"] == 0
+        assert health["store"]["records"] == 0

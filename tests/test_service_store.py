@@ -3,8 +3,8 @@
 import json
 import os
 
-from repro.service.jobs import AnalysisJob, JobResult, run_job
-from repro.service.store import ResultStore
+from repro.service.jobs import SCHEMA_VERSION, AnalysisJob, JobResult, run_job
+from repro.service.store import ResultStore, record_checksum
 
 RDWALK = """
 proc main(x, n) {
@@ -90,6 +90,23 @@ class TestRobustness:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(record, handle)
         assert store.get(result.job_hash) is None
+
+    def test_v8_record_is_a_miss(self, tmp_path):
+        # v8 degree-2 records carry certificates the checker rejects: a
+        # well-formed, correctly checksummed v8 record must not be served.
+        store = ResultStore(str(tmp_path))
+        result = _result()
+        store.put(result)
+        path = store._path(result.job_hash)
+        record = json.loads(open(path, encoding="utf-8").read())
+        assert record["schema"] == SCHEMA_VERSION == 9
+        record["schema"] = 8
+        record["checksum"] = record_checksum(record)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(record, handle)
+        assert store.get(result.job_hash) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        assert store.stats.quarantined == 0
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(str(tmp_path))
