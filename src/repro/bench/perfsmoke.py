@@ -205,6 +205,8 @@ def run_suite(group: str = "linear",
             "prepare_seconds": round(stats.prepare_seconds, 4) if stats else None,
             "build_seconds": round(stats.build_seconds_total(), 4) if stats else None,
             "solve_seconds": round(stats.solve_seconds_total(), 4) if stats else None,
+            "lp_solves": stats.cold_solves if stats else None,
+            "skipped_solves": stats.skipped_solves if stats else None,
             "escalation_reuse_ratio": stats.escalation_reuse_ratio if stats else None,
             "fm_queries": delta["queries"],
             "fm_eliminations": delta["eliminations"],
@@ -880,18 +882,21 @@ def _sampler_pass(runs: int = SAMPLER_RUNS) -> Dict[str, object]:
 # Baseline comparison (--check)
 # ---------------------------------------------------------------------------
 
-#: Per-program times :func:`find_regressions` gates: the analysis wall and
-#: the derive layer (rule walk, rewrite generation, ``Q:Weaken`` rows).
-GATED_TIMES = (("wall_seconds", "wall"), ("build_seconds", "build"))
+#: Per-program times :func:`find_regressions` gates: the analysis wall, the
+#: derive layer (rule walk, rewrite generation, ``Q:Weaken`` rows) and the
+#: LP-solve layer (assembly and the staged solves).
+GATED_TIMES = (("wall_seconds", "wall"), ("build_seconds", "build"),
+               ("solve_seconds", "solve"))
 
 
 def find_regressions(report: Dict[str, object], baseline: Dict[str, object],
                      threshold: float = REGRESSION_THRESHOLD,
                      floor_seconds: float = REGRESSION_FLOOR_SECONDS
                      ) -> List[str]:
-    """Per-program wall-time and build-time regressions of ``report``.
+    """Per-program wall, build and solve time regressions of ``report``.
 
-    A program regresses on a time (``wall_seconds``, ``build_seconds``)
+    A program regresses on a time (``wall_seconds``, ``build_seconds``,
+    ``solve_seconds``)
     when it is both ``threshold`` (relative) slower and ``floor_seconds``
     (absolute) slower than the baseline -- the floor keeps sub-50ms jitter
     on tiny programs from failing CI.  Programs missing from either side,
@@ -994,13 +999,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "over the suite (pre-flight configuration), "
                              "fail on any error-severity diagnostic, and "
                              "with --check cap the lint wall at "
-                             f"{LINT_MAX_OVERHEAD:.0%} of the sequential "
-                             "analysis wall")
+                             f"{LINT_MAX_OVERHEAD * 100:.0f}%% of the "
+                             "sequential analysis wall")
     parser.add_argument("--check", default=None, metavar="BASELINE.json",
-                        help="compare per-program wall and build "
-                             "(derive) times against this baseline and exit "
-                             "non-zero on a "
-                             f">{REGRESSION_THRESHOLD:.0%} regression")
+                        help="compare per-program wall, build (derive) "
+                             "and solve times against this baseline and "
+                             "exit non-zero on a "
+                             f">{REGRESSION_THRESHOLD * 100:.0f}%% regression")
     parser.add_argument("--threshold", type=float,
                         default=REGRESSION_THRESHOLD,
                         help="relative regression threshold for --check "

@@ -154,9 +154,13 @@ class AffExpr:
     __rmul__ = __mul__
 
     def evaluate(self, assignment: Mapping[LPVar, Union[float, Fraction]]) -> Fraction:
+        # LP solutions are sparse: zero values contribute nothing, so they
+        # skip the Fraction arithmetic.
         total = self._const
         for var, coeff in self._terms.items():
-            total += coeff * to_fraction(assignment[var])
+            value = assignment[var]
+            if value:
+                total += coeff * to_fraction(value)
         return total
 
     # -- rendering --------------------------------------------------------------

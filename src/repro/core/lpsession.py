@@ -33,7 +33,7 @@ class LPSession:
         session = LPSession(assembled)
         for degree attempt:
             for stage objective:
-                values = session.solve(objective)
+                values = session.solve(objective)  # unless already optimal
                 session.fix_objective(objective, bound)
             session.clear_stage_rows()                # drop the fix rows
             assembled.extend(extension)               # on escalation
@@ -43,6 +43,10 @@ class LPSession:
         self.assembled = assembled
         #: LP solves answered so far (``PipelineStats`` reports per stage).
         self.solves = 0
+        #: Stages the minimizer answered without a solve: the previous
+        #: stage's optimum already gave their objective the value 0 (see
+        #: :func:`~repro.core.solver.stage_already_optimal`).
+        self.skipped = 0
         #: The per-attempt objective-fixing rows, in stage order.
         self._stage_rows: List[Tuple[AffExpr, float]] = []
 

@@ -83,6 +83,9 @@ class DegreeStage:
     feasible: Optional[bool] = None
     #: LP solves of this stage's attempt (``repro.core.lpsession``).
     cold_solves: int = 0
+    #: Objective stages of this attempt answered without an LP solve
+    #: (already optimal at the previous stage's point).
+    skipped_solves: int = 0
 
     def reuse_ratio(self) -> Optional[float]:
         """Fraction of this stage's system carried over from earlier degrees."""
@@ -111,6 +114,7 @@ class DegreeStage:
             "feasible": self.feasible,
             "reuse_ratio": self.reuse_ratio(),
             "cold_solves": self.cold_solves,
+            "skipped_solves": self.skipped_solves,
         }
 
 
@@ -150,6 +154,10 @@ class PipelineStats:
     def cold_solves(self) -> int:
         return sum(stage.cold_solves for stage in self.stages)
 
+    @property
+    def skipped_solves(self) -> int:
+        return sum(stage.skipped_solves for stage in self.stages)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "prepare_seconds": round(self.prepare_seconds, 4),
@@ -160,6 +168,7 @@ class PipelineStats:
             # Always 0: kept so readers that sum warm + cold solves work.
             "warm_solves": 0,
             "cold_solves": self.cold_solves,
+            "skipped_solves": self.skipped_solves,
             "stages": [stage.to_dict() for stage in self.stages],
         }
 
@@ -324,6 +333,7 @@ class AnalysisPipeline:
         if state.session is None:
             state.session = LPSession(state.assembled)
         solves_before = state.session.solves
+        skipped_before = state.session.skipped
         solver = IterativeMinimizer(system, tolerance=self.config.lp_tolerance)
         solution = solver.solve(objectives, session=state.session)
         elapsed = time.perf_counter() - started
@@ -332,6 +342,7 @@ class AnalysisPipeline:
             stage.solved = True
             stage.feasible = solution is not None
             stage.cold_solves = state.session.solves - solves_before
+            stage.skipped_solves = state.session.skipped - skipped_before
         if solution is None:
             return AnalysisResult(
                 False, None, degree, elapsed,

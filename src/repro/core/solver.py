@@ -84,6 +84,14 @@ def _triplets_to_coo(triplets: Sequence[Tuple[int, int, float]],
     return coo_matrix((values, (row_idx, col_idx)), shape=(num_rows, num_cols))
 
 
+def _column_bounds(variables: Sequence[LPVar]) -> np.ndarray:
+    """``[0, inf)`` for non-negative columns, ``(-inf, inf)`` otherwise."""
+    bounds = np.empty((len(variables), 2))
+    bounds[:, 0] = [0.0 if var.nonneg else -np.inf for var in variables]
+    bounds[:, 1] = np.inf
+    return bounds
+
+
 class AssembledSystem:
     """A :class:`ConstraintSystem` translated once into ``linprog`` arrays.
 
@@ -124,8 +132,9 @@ class AssembledSystem:
         self.b_ub_base = (np.fromiter((float(e.const) for e in ge_rows),
                                       dtype=np.float64, count=len(ge_rows))
                           if ge_rows else None)
-        self.bounds = [(0.0, None) if var.nonneg else (None, None)
-                       for var in system.variables]
+        #: ``(num_vars, 2)`` column bounds, built once: ``linprog`` cleans
+        #: an array in a fraction of the time a list of tuples takes.
+        self.bounds = _column_bounds(system.variables)
         #: Incremental cache of the assembled per-stage ``extra`` rows:
         #: the (expr, bound) prefix already assembled, its CSR block and
         #: right-hand side.  See :meth:`_assemble_extras`.
@@ -203,8 +212,8 @@ class AssembledSystem:
             self.b_ub_base = values if self.b_ub_base is None \
                 else np.concatenate([self.b_ub_base, values])
         # 4. bounds for the new variables; bookkeeping.
-        self.bounds.extend((0.0, None) if var.nonneg else (None, None)
-                           for var in system.variables[self.num_vars:])
+        self.bounds = np.vstack(
+            [self.bounds, _column_bounds(system.variables[self.num_vars:])])
         self.num_vars = new_num_vars
         self.num_constraints = system.num_constraints
 
@@ -288,7 +297,9 @@ class IterativeMinimizer:
     The base LP matrices are assembled exactly once; each stage only adds
     its incremental objective-fixing row on top of them.  The stage rows
     live in an :class:`~repro.core.lpsession.LPSession`: the pipeline's
-    persistent one, or a transient one built here.
+    persistent one, or a transient one built here.  A stage that the
+    previous stage's optimum already solves (:func:`stage_already_optimal`)
+    keeps that optimum and is not re-solved; its fixing row is still added.
     """
 
     def __init__(self, system: ConstraintSystem, tolerance: float = 1e-6) -> None:
@@ -322,9 +333,13 @@ class IterativeMinimizer:
         stages = list(objectives) or [AffExpr.zero()]
         try:
             for objective in stages:
-                values = session.solve(objective)
-                if values is None:
-                    return None
+                if values is not None \
+                        and stage_already_optimal(objective, values):
+                    session.skipped += 1
+                else:
+                    values = session.solve(objective)
+                    if values is None:
+                        return None
                 achieved_value = float(
                     assembled.objective_vector(objective) @ values
                     + float(objective.const))
@@ -335,11 +350,39 @@ class IterativeMinimizer:
         finally:
             # Stage rows belong to this attempt only.
             session.clear_stage_rows()
-        assignment = {var: snap_fraction(float(values[var.index]))
-                      for var in self.system.variables}
-        # Clamp tiny negatives introduced by floating point on non-negative vars.
-        for var in self.system.variables:
-            if var.nonneg and assignment[var] < 0:
-                assignment[var] = Fraction(0)
-        return LPSolution(assignment=assignment, raw_values=values,
-                          objective_values=achieved, iterations=len(stages))
+        return LPSolution(assignment=snap_assignment(self.system.variables,
+                                                     values),
+                          raw_values=values, objective_values=achieved,
+                          iterations=len(stages))
+
+
+def stage_already_optimal(objective: AffExpr, values: np.ndarray) -> bool:
+    """Whether ``values`` (a previous stage's optimum) minimises ``objective``.
+
+    Exact, with no float tolerance: a constant-free objective whose terms
+    all have non-negative coefficients on non-negative columns is >= 0 over
+    the feasible set, and it is exactly 0 when every such column is exactly
+    0.0 in ``values``.  The previous stage's point satisfies every row of
+    this stage (the base system plus the fixing rows added so far), so it
+    is an optimum and the stage needs no LP solve.
+    """
+    if objective.const != 0:
+        return False
+    return all(coeff >= 0 and var.nonneg and values[var.index] == 0.0
+               for var, coeff in objective.term_items())
+
+
+def snap_assignment(variables: Sequence[LPVar],
+                    values: np.ndarray) -> Dict[LPVar, Fraction]:
+    """Rationalise an LP solution; only its non-zero support is snapped.
+
+    ``snap_fraction(0.0)`` is ``0``, so snapping just the support gives the
+    same assignment as snapping every value.  Tiny negatives introduced by
+    floating point on non-negative columns are clamped to 0.
+    """
+    assignment = dict.fromkeys(variables, Fraction(0))
+    for index in np.flatnonzero(values):
+        var = variables[index]
+        value = snap_fraction(float(values[index]))
+        assignment[var] = Fraction(0) if var.nonneg and value < 0 else value
+    return assignment

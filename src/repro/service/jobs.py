@@ -64,7 +64,11 @@ from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 #: continuation (it used the degree-``d`` pre-annotation), so degree-2
 #: certificates change; v8 ones record ``loop-exit`` weakenings the
 #: certificate checker rejects and must not be served.
-SCHEMA_VERSION = 9
+#: v10: the pipeline record gains ``skipped_solves``, and an objective
+#: stage that is already optimal at the previous stage's point keeps that
+#: point instead of re-solving, so certificates change wherever a final
+#: stage is skipped; v9 records read as misses.
+SCHEMA_VERSION = 10
 
 #: Statuses a job can end in.  ``ok``/``no-bound``/``parse-error`` are
 #: deterministic outcomes of the job's content and therefore cacheable;

@@ -211,6 +211,24 @@ class TestPerfSmoke:
                   "--output", str(tmp_path / "b.json"), *flags])
         assert excinfo.value.code == 2
 
+    def test_help_exits_cleanly(self, capsys):
+        # argparse %-expands help text, so a literal "%" must be "%%".
+        from repro.bench.perfsmoke import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "5% of the sequential" in out and ">25% regression" in out
+
+    def test_rows_report_lp_solves(self):
+        from repro.bench.perfsmoke import run_suite
+
+        report = run_suite(programs=["ber"])
+        row, = report["programs"]
+        # ber's second objective stage is already optimal after the first.
+        assert (row["lp_solves"], row["skipped_solves"]) == (1, 1)
+
     def test_programs_filter_unknown_selector(self, tmp_path, capsys):
         from repro.bench.perfsmoke import main
 
@@ -350,6 +368,21 @@ class TestPerfCheck:
         # A side without build_seconds is not gated.
         assert find_regressions(report(None), report(0.5)) == []
         assert find_regressions(report(2.0), self._report({"a": 1.0})) == []
+
+    def test_flags_solve_regression_under_a_steady_wall(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # The LP-solve layer doubled while a faster derive hid it.
+        def report(build, solve):
+            return {"programs": [{"name": "a", "wall_seconds": 2.0,
+                                  "build_seconds": build,
+                                  "solve_seconds": solve}]}
+
+        problems = find_regressions(report(0.5, 1.0), report(1.0, 0.5))
+        assert problems == ["a: solve 1.000s vs baseline 0.500s (+100%)"]
+        # Same threshold and floor as the wall: +20%, or +30ms, passes.
+        assert find_regressions(report(1.0, 0.6), report(1.0, 0.5)) == []
+        assert find_regressions(report(1.0, 0.06), report(1.0, 0.03)) == []
 
     def test_check_cli_against_self(self, tmp_path):
         from repro.bench.perfsmoke import main

@@ -1,23 +1,33 @@
 """Tests for the LP session (``repro.core.lpsession``).
 
 Covers the session protocol on a tiny LP (optimum, stage rows, infeasible
--> None), the stage-row cache of ``AssembledSystem.matrices``, and the
+-> None), the stage-row cache of ``AssembledSystem.matrices``, the
+already-optimal stage skip and the sparse snap of the minimizer, and the
 registry pin: an escalating analysis, whose one session answers every
 degree attempt, yields the same bound and certificate as a cold run at the
 target degree.
 """
 
+import random
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from repro.bench.registry import polynomial_benchmarks
+from repro.bench.registry import linear_benchmarks, polynomial_benchmarks
+from repro.core import solver
 from repro.core.analyzer import analyze_program
+from repro.core.certificates import check_certificate
 from repro.core.constraints import ConstraintSystem
 from repro.core.lpsession import LPSession
-from repro.core.solver import AssembledSystem, IterativeMinimizer
+from repro.core.solver import (AssembledSystem, IterativeMinimizer,
+                               snap_assignment, stage_already_optimal)
 from repro.lang import builder as B
+from repro.utils.rationals import snap_fraction
 
 from tests.test_pipeline_incremental import canonical_certificate
+from tests.test_program_fuzz import PROGRAM_COUNT, random_program
 
 POLYNOMIAL = polynomial_benchmarks()
 
@@ -166,6 +176,205 @@ class TestExtrasCache:
             AssembledSystem(system).matrices([(y - x, 0.25)]))
         assert np.array_equal(a, fresh_a)
         assert np.array_equal(b, fresh_b)
+
+
+# ---------------------------------------------------------------------------
+# Already-optimal stages are not re-solved
+# ---------------------------------------------------------------------------
+
+def never_skip():
+    """Test oracle: a skip predicate that never holds, so every stage is
+    solved."""
+    return lambda objective, values: False
+
+
+def zero_stage_system():
+    """x, y, z >= 0;  y == 2;  x + y >= 2.
+
+    Stage 1 (min x + z) has the unique optimum x = z = 0, y = 2, where the
+    stage-2 objective 2x + z is exactly 0: stage 2 is already optimal.
+    """
+    system = ConstraintSystem()
+    x = system.new_var("x", nonneg=True)
+    y = system.new_var("y", nonneg=True)
+    z = system.new_var("z", nonneg=True)
+    system.add_eq(y - 2)
+    system.add_ge(x + y - 2)
+    return system, x, y, z
+
+
+def refusal_system():
+    """x in [0, 1], y == 2, free w in [0, 1], t >= 0."""
+    system = ConstraintSystem()
+    x = system.new_var("x", nonneg=True)
+    y = system.new_var("y", nonneg=True)
+    w = system.new_var("w")
+    t = system.new_var("t", nonneg=True)
+    system.add_ge(x * -1 + 1)
+    system.add_eq(y - 2)
+    system.add_ge(w)
+    system.add_ge(w * -1 + 1)
+    return system, x, y, w, t
+
+
+class TestStageSkip:
+    def test_already_optimal_stage_is_not_solved(self):
+        system, x, y, z = zero_stage_system()
+        session = LPSession(AssembledSystem(system))
+        fixed = []
+
+        def fix_objective(objective, bound):
+            fixed.append((objective, bound))
+            LPSession.fix_objective(session, objective, bound)
+
+        session.fix_objective = fix_objective
+        stage2 = x * 2 + z
+        solution = IterativeMinimizer(system).solve([x + z, stage2],
+                                                    session=session)
+        assert solution is not None
+        assert (session.solves, session.skipped) == (1, 1)
+        # The skipped stage still fixes its (zero) optimum for later stages.
+        assert fixed == [(x + z, 1e-6), (stage2, 1e-6)]
+        assert solution.objective_values == [0.0, 0.0]
+        assert list(solution.assignment.values()) == [0, 2, 0]
+
+    def test_skip_returns_the_forced_solve_assignment(self, monkeypatch):
+        system, x, y, z = zero_stage_system()
+        skipped = IterativeMinimizer(system).solve([x + z, x * 2 + z])
+        monkeypatch.setattr(solver, "stage_already_optimal", never_skip())
+        session = LPSession(AssembledSystem(system))
+        forced = IterativeMinimizer(system).solve([x + z, x * 2 + z],
+                                                  session=session)
+        assert (session.solves, session.skipped) == (2, 0)
+        assert skipped.assignment == forced.assignment
+        assert skipped.objective_values == forced.objective_values
+
+    def test_predicate_accepts_a_zero_non_negative_objective(self):
+        system, x, y, z = zero_stage_system()
+        assert stage_already_optimal(x * 2 + z, np.array([0.0, 2.0, 0.0]))
+
+    @pytest.mark.parametrize("case", ["negative", "free", "constant",
+                                      "tiny"])
+    def test_predicate_refuses(self, case):
+        system, x, y, w, t = refusal_system()
+        values = np.array([0.0, 2.0, 0.0, 0.0])
+        objective = {"negative": x * -1, "free": w, "constant": x + 1,
+                     "tiny": t}[case]
+        if case == "tiny":
+            values[3] = 1e-12
+        assert not stage_already_optimal(objective, values)
+
+    @pytest.mark.parametrize("case", ["negative", "free", "constant"])
+    def test_refused_stage_is_solved(self, case):
+        system, x, y, w, t = refusal_system()
+        stage2 = {"negative": x * -1 + y, "free": w, "constant": x + 1}[case]
+        session = LPSession(AssembledSystem(system))
+        solution = IterativeMinimizer(system).solve([y, stage2],
+                                                    session=session)
+        assert solution is not None
+        assert (session.solves, session.skipped) == (2, 0)
+
+
+#: Programs whose *forced* (every stage solved) certificate fails the 1e-6
+#: checker by a known float-snap residual; their skipped run passes.
+FORCED_SNAP_FAILURES = {"prnes"}
+
+#: The CLI's default schedule for the degree-2 programs: degree 1 first.
+ESCALATING = {"max_degree": 1, "auto_degree": True, "degree_limit": 2}
+
+
+def _assert_forced_agrees(name, program, options, result, monkeypatch):
+    """Skipping changes no bound, and both certificates check.
+
+    ``result`` is the analysis of ``program`` under ``options``.  Returns
+    whether it skipped a stage (otherwise the oracle run would take exactly
+    the same solves, and is not made).
+    """
+    assert result.success, f"{name}: {result.message}"
+    assert check_certificate(result.certificate) == []
+    if result.stats.skipped_solves == 0:
+        return False
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "stage_already_optimal", never_skip())
+        forced = analyze_program(program, **options)
+    assert forced.stats.skipped_solves == 0
+    assert forced.stats.cold_solves \
+        == result.stats.cold_solves + result.stats.skipped_solves
+    assert (forced.degree, forced.bound.pretty()) \
+        == (result.degree, result.bound.pretty())
+    problems = check_certificate(forced.certificate)
+    if name not in FORCED_SNAP_FAILURES:
+        assert problems == [], f"{name}: {problems}"
+        return True
+    assert problems, f"{name}'s forced certificate now passes"
+    for problem in problems:
+        match = re.search(r"residual (\S+)\)$", problem)
+        assert match and abs(float(match.group(1))) < 2e-6, problem
+    return True
+
+
+class TestSkipDifferential:
+    """The skip against the every-stage-solved oracle."""
+
+    @pytest.mark.parametrize("bench", linear_benchmarks() + POLYNOMIAL,
+                             ids=lambda b: b.name)
+    def test_registry(self, bench, monkeypatch):
+        options = dict(bench.analyzer_options)
+        if bench in POLYNOMIAL:
+            options.update(ESCALATING)
+        program = bench.build()
+        _assert_forced_agrees(bench.name, program, options,
+                              analyze_program(program, **options), monkeypatch)
+
+    def test_fuzz_corpus(self, monkeypatch):
+        rng = random.Random(0x5EED)
+        skipped = 0
+        for index in range(PROGRAM_COUNT):
+            program = random_program(rng)
+            options = {"max_degree": 1, "degree_limit": 2}
+            result = analyze_program(program, **options)
+            if result.success:
+                skipped += _assert_forced_agrees(f"program {index}", program,
+                                                 options, result, monkeypatch)
+        assert skipped >= 5, skipped
+
+
+class TestSparseSnap:
+    @staticmethod
+    def _dense_snap(variables, values):
+        assignment = {var: snap_fraction(float(values[var.index]))
+                      for var in variables}
+        for var in variables:
+            if var.nonneg and assignment[var] < 0:
+                assignment[var] = Fraction(0)
+        return assignment
+
+    def test_matches_snapping_every_value(self):
+        system = ConstraintSystem()
+        variables = [system.new_var(f"v{i}", nonneg=i % 3 != 0).variables()[0]
+                     for i in range(200)]
+        rng = np.random.default_rng(7)
+        values = np.where(rng.random(200) < 0.8, 0.0,
+                          rng.normal(size=200) * 10)
+        values[[1, 2, 3]] = [-1e-9, -0.0, 2 / 3 + 1e-10]
+        assert snap_assignment(variables, values) \
+            == self._dense_snap(variables, values)
+
+    def test_matches_on_a_registry_solution(self, monkeypatch):
+        captured = []
+        original = solver.snap_assignment
+
+        def capture(variables, values):
+            captured.append((variables, values))
+            return original(variables, values)
+
+        monkeypatch.setattr(solver, "snap_assignment", capture)
+        bench = linear_benchmarks()[0]
+        assert analyze_program(bench.build(), **bench.analyzer_options).success
+        (variables, values), = captured
+        assert np.count_nonzero(values) < len(values)
+        assert original(variables, values) \
+            == self._dense_snap(variables, values)
 
 
 # ---------------------------------------------------------------------------

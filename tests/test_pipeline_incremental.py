@@ -9,6 +9,7 @@ assembly, and the per-attempt/total timing split.
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.bench.registry import polynomial_benchmarks
@@ -174,7 +175,7 @@ class TestExtensionProtocol:
                 == fresh.a_ub_base.toarray()).all()
         assert (assembled.b_eq == fresh.b_eq).all()
         assert (assembled.b_ub_base == fresh.b_ub_base).all()
-        assert assembled.bounds == fresh.bounds
+        assert np.array_equal(assembled.bounds, fresh.bounds)
         assert assembled.num_vars == fresh.num_vars == 4
 
     def test_extension_delta_must_not_touch_old_columns(self):

@@ -91,22 +91,30 @@ class TestRobustness:
             json.dump(record, handle)
         assert store.get(result.job_hash) is None
 
-    def test_v8_record_is_a_miss(self, tmp_path):
-        # v8 degree-2 records carry certificates the checker rejects: a
-        # well-formed, correctly checksummed v8 record must not be served.
+    def _assert_old_schema_is_a_miss(self, tmp_path, schema):
         store = ResultStore(str(tmp_path))
         result = _result()
         store.put(result)
         path = store._path(result.job_hash)
         record = json.loads(open(path, encoding="utf-8").read())
-        assert record["schema"] == SCHEMA_VERSION == 9
-        record["schema"] = 8
+        assert record["schema"] == SCHEMA_VERSION == 10
+        record["schema"] = schema
         record["checksum"] = record_checksum(record)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(record, handle)
         assert store.get(result.job_hash) is None
         assert store.stats.misses == 1 and store.stats.hits == 0
         assert store.stats.quarantined == 0
+
+    def test_v8_record_is_a_miss(self, tmp_path):
+        # v8 degree-2 records carry certificates the checker rejects: a
+        # well-formed, correctly checksummed v8 record must not be served.
+        self._assert_old_schema_is_a_miss(tmp_path, 8)
+
+    def test_v9_record_is_a_miss(self, tmp_path):
+        # v9 records lack ``skipped_solves`` and may carry the certificate
+        # of a re-solved final stage that v10 skips: not served either.
+        self._assert_old_schema_is_a_miss(tmp_path, 9)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(str(tmp_path))
