@@ -96,9 +96,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
           f"time: {result.time_seconds:.3f}s attempt / "
           f"{result.total_seconds:.3f}s total   "
           f"LP size: {result.lp_variables} variables / {result.lp_constraints} constraints")
-    reuse = result.stats.escalation_reuse_ratio if result.stats else None
-    if reuse is not None:
-        print(f"degree escalation reused {reuse:.1%} of the lower-degree system")
     if args.certificate:
         problems = check_certificate(result.certificate)
         if problems:
@@ -578,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="do not retry with a higher degree on failure")
     analyze.add_argument("--degree-limit", type=int, default=None,
                          help="highest degree the automatic retry may "
-                              "escalate to (default: 2); escalation reuses "
-                              "the lower-degree derivation incrementally")
+                              "escalate to (default: 2)")
     analyze.add_argument("--counter", default=None,
                          help="treat this global variable as the resource counter")
     analyze.add_argument("--certificate", action="store_true",

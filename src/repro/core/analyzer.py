@@ -7,19 +7,17 @@
    (:mod:`repro.lang.transform`) and abstract interpretation
    (:mod:`repro.logic.absint`) -- degree independent, computed once;
 2. *templates + derivation*: loop-invariant/branch-join/procedure templates
-   plus the derivation rules of Fig. 6 (:mod:`repro.core.derivation`),
-   built incrementally degree by degree;
-3. *LP solving* with the iterative degree-by-degree objective over an
-   in-place-grown assembly (:mod:`repro.core.solver`);
+   plus the derivation rules of Fig. 6 (:mod:`repro.core.derivation`);
+3. *LP solving* with the iterative degree-by-degree objective
+   (:mod:`repro.core.solver`);
 4. *bound extraction* and certificate construction
    (:mod:`repro.core.bounds`, :mod:`repro.core.certificates`).
 
 If no bound exists within the chosen maximal degree the analyzer can
 optionally retry with a higher degree (``auto_degree``), mirroring how users
-drive Absynth by specifying a maximal degree.  Retries are *incremental*:
-the degree-``d`` derivation and LP are extended in place instead of being
-rebuilt (the escalated system is byte-identical to a cold run at the higher
-degree by construction).
+drive Absynth by specifying a maximal degree.  A retry derives and solves
+the higher degree from scratch, reusing only the prepared program, so an
+escalated run builds the same system as a cold run at that degree.
 """
 
 from __future__ import annotations
@@ -143,7 +141,7 @@ class ExpectedCostAnalyzer:
     # -- public API ----------------------------------------------------------------
 
     def analyze(self) -> AnalysisResult:
-        """Run the staged pipeline, escalating the degree incrementally.
+        """Run the staged pipeline, escalating the degree on an infeasible LP.
 
         With ``preflight`` enabled the lint passes run first: error-severity
         diagnostics stop the analysis (``failure_kind="lint-error"``);

@@ -80,31 +80,6 @@ class PotentialAnnotation:
             terms[monomial] = system.new_var(label, nonneg=nonneg)
         return cls(terms)
 
-    @classmethod
-    def extend_template(cls, system: ConstraintSystem,
-                        base: "PotentialAnnotation",
-                        monomials: Iterable[Monomial], name: str,
-                        nonneg: bool = True
-                        ) -> Tuple["PotentialAnnotation", "PotentialAnnotation"]:
-        """Degree-monotone template growth: ``(merged, delta)``.
-
-        Reuses the LP variables of ``base`` for every base function it
-        already covers and mints fresh variables only for the new monomials
-        (the degree-``d+1`` products added by escalation).  The ``delta``
-        part carries exclusively new variables, which is what keeps the
-        extension constraints of :class:`~repro.core.derivation`
-        append-only.  Base monomials are kept even when absent from the
-        candidate list, so templates never shrink across degrees.
-        """
-        known = set(base._terms)
-        fresh = sorted({m for m in monomials if m not in known},
-                       key=lambda m: m.sort_key())
-        delta_terms: Dict[Monomial, AffExpr] = {
-            monomial: system.new_var(f"{name}[{monomial}]", nonneg=nonneg)
-            for monomial in fresh}
-        delta = cls(delta_terms)
-        return base.plus(delta), delta
-
     # -- accessors -------------------------------------------------------------------
 
     @property
@@ -191,23 +166,17 @@ class PotentialAnnotation:
 
     def drop_monomials_with_variable(self, var: str,
                                      system: ConstraintSystem,
-                                     origin: str = "",
-                                     rows: Optional[Dict[Monomial, int]] = None
-                                     ) -> "PotentialAnnotation":
+                                     origin: str = "") -> "PotentialAnnotation":
         """Force coefficients of base functions mentioning ``var`` to zero.
 
         Used when an assignment cannot be tracked (non-linear right-hand
         side): the continuation potential must not depend on the overwritten
-        variable.  When ``rows`` is given, the emitted constraint indices
-        are recorded per monomial so degree escalation can extend exactly
-        these rows instead of re-deriving them.
+        variable.
         """
         kept: Dict[Monomial, AffExpr] = {}
         for monomial, coeff in self._terms.items():
             if var in monomial.variables():
-                index = system.add_eq(coeff, 0, origin=origin or f"drop[{var}]")
-                if rows is not None and index is not None:
-                    rows[monomial] = index
+                system.add_eq(coeff, 0, origin=origin or f"drop[{var}]")
             else:
                 kept[monomial] = coeff
         return PotentialAnnotation(kept)

@@ -286,13 +286,8 @@ def monomials_up_to_degree(atoms: Sequence[IntervalAtom], max_degree: int,
     degree >= 2 only combine the first ``higher_degree_atom_limit`` atoms
     (seed order puts the most relevant atoms first), which keeps quadratic
     and cubic templates at a size the LP solver handles comfortably.
-
-    **Degree monotonicity** (relied on by the incremental escalation of
-    :mod:`repro.core.pipeline`): for a fixed atom sequence the degree-``d``
-    list is a *prefix* of the degree-``d+1`` list -- lower-degree monomials
-    are emitted first, in the same order, and raising the degree only
-    appends new products.  Template extension therefore never renames or
-    reorders existing LP variables.
+    Lower-degree monomials are emitted first, so for a fixed atom sequence
+    the degree-``d`` list is a prefix of the degree-``d+1`` list.
     """
     monomials: List[Monomial] = [Monomial.one()]
     seen: Set[Monomial] = {Monomial.one()}
@@ -320,9 +315,7 @@ def append_missing(monomials: List[Monomial],
     """Append the monomials of ``extra`` not already present, in order.
 
     The deduplicated-append used wherever continuation (post-annotation)
-    monomials must be folded into a template: keeping the heuristic
-    monomials first preserves the prefix stability that degree escalation
-    depends on.
+    monomials must be folded into a template, heuristic monomials first.
     """
     known = set(monomials)
     for monomial in extra:
@@ -337,13 +330,8 @@ def template_monomials_for_loop(loop: ast.While, context: Context,
                                 config: BaseGenConfig) -> List[Monomial]:
     """The full base-function template for a loop head.
 
-    Degree-monotone: with a degree-``d+1`` config and a continuation whose
-    monomials extend the degree-``d`` continuation, the returned template
-    is a superset of the degree-``d`` one (the atom pool only grows with
-    the continuation, and :func:`monomials_up_to_degree` is prefix-stable).
-    :meth:`repro.core.annotations.PotentialAnnotation.extend_template`
-    additionally keeps any base monomial dropped by budget truncation, so
-    escalation can only ever *add* base functions.
+    The heuristic monomials over the loop's atom pool up to the configured
+    degree, followed by the continuation's monomials.
     """
     post_list = list(post_monomials)
     atoms = atoms_for_loop(loop, context, post_list, config)

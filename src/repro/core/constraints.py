@@ -15,7 +15,7 @@ of a linear program.  This module provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -208,48 +208,12 @@ class Constraint:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
 
-@dataclass
-class SystemExtension:
-    """Journal of one append-only extension round of a :class:`ConstraintSystem`.
-
-    Produced by :meth:`ConstraintSystem.begin_extension` /
-    :meth:`ConstraintSystem.end_extension`.  During a round the system may
-    only *grow*: new variables, new constraints, and per-constraint deltas
-    that mention new variables exclusively.  The journal carries everything
-    :meth:`repro.core.solver.AssembledSystem.extend` needs to update the LP
-    matrices in place: pre-round sizes plus the accumulated delta expression
-    of every extended row (entries land in fresh columns only, so the base
-    CSR blocks survive verbatim).
-    """
-
-    base_variables: int
-    base_constraints: int
-    #: Constraint index -> accumulated delta (an ``AffExpr`` over variables
-    #: created during this round; its constant part is always zero).
-    extended: Dict[int, AffExpr] = field(default_factory=dict)
-
-    @property
-    def constraints_extended(self) -> int:
-        return len(self.extended)
-
-
 class ConstraintSystem:
-    """Accumulates LP variables and linear constraints.
-
-    Besides plain accumulation the system supports an *append-only
-    extension protocol* used by the incremental degree-escalation pipeline
-    (:mod:`repro.core.pipeline`): between :meth:`begin_extension` and
-    :meth:`end_extension` existing constraints may be extended with delta
-    expressions over newly created variables, while their original terms
-    stay untouched.  This is exactly the shape of degree escalation: the
-    degree-``d`` rows keep their coefficients, and the degree-``d+1``
-    template variables / weakening multipliers only add new columns.
-    """
+    """Accumulates LP variables and linear constraints (append-only)."""
 
     def __init__(self) -> None:
         self.variables: List[LPVar] = []
         self.constraints: List[Constraint] = []
-        self._extension: Optional[SystemExtension] = None
 
     # -- variables ------------------------------------------------------------
 
@@ -284,8 +248,8 @@ class ConstraintSystem:
     # -- constraints -------------------------------------------------------------
 
     def add_eq(self, left: Union[AffExpr, Number], right: Union[AffExpr, Number] = 0,
-               origin: str = "") -> Optional[int]:
-        """Add ``left == right``; return the constraint index (None if trivial)."""
+               origin: str = "") -> None:
+        """Add ``left == right`` (dropped when trivially true)."""
         if isinstance(left, AffExpr) and not isinstance(right, AffExpr) and right == 0:
             expr = left
         else:
@@ -295,14 +259,12 @@ class ConstraintSystem:
                 # Record an obviously infeasible constraint so the solver
                 # reports failure instead of silently dropping it.
                 self.constraints.append(Constraint(expr, "eq", origin or "contradiction"))
-                return len(self.constraints) - 1
-            return None
+            return
         self.constraints.append(Constraint(expr, "eq", origin))
-        return len(self.constraints) - 1
 
     def add_ge(self, left: Union[AffExpr, Number], right: Union[AffExpr, Number] = 0,
-               origin: str = "") -> Optional[int]:
-        """Add ``left >= right``; return the constraint index (None if trivial)."""
+               origin: str = "") -> None:
+        """Add ``left >= right`` (dropped when trivially true)."""
         if isinstance(left, AffExpr) and not isinstance(right, AffExpr) and right == 0:
             expr = left
         else:
@@ -310,59 +272,12 @@ class ConstraintSystem:
         if expr.is_constant():
             if expr.const < 0:
                 self.constraints.append(Constraint(expr, "ge", origin or "contradiction"))
-                return len(self.constraints) - 1
-            return None
+            return
         self.constraints.append(Constraint(expr, "ge", origin))
-        return len(self.constraints) - 1
 
     def add_le(self, left: Union[AffExpr, Number], right: Union[AffExpr, Number] = 0,
-               origin: str = "") -> Optional[int]:
-        return self.add_ge(_as_affexpr(right), _as_affexpr(left), origin)
-
-    # -- append-only extension protocol ------------------------------------------
-
-    def begin_extension(self) -> None:
-        """Open an extension round (degree escalation) over the current state."""
-        if self._extension is not None:
-            raise RuntimeError("an extension round is already open")
-        self._extension = SystemExtension(self.num_variables, self.num_constraints)
-
-    def extend_constraint(self, index: int, delta: AffExpr) -> None:
-        """Append ``delta`` to an existing constraint's expression.
-
-        The delta must be constant-free and may only mention variables
-        created during the current extension round: existing rows keep
-        their old columns verbatim and only grow into new columns, which is
-        what lets :meth:`repro.core.solver.AssembledSystem.extend` reuse
-        the previously assembled CSR blocks as-is.
-        """
-        extension = self._extension
-        if extension is None:
-            raise RuntimeError("extend_constraint outside an extension round")
-        if delta.const != 0:
-            raise ValueError(
-                f"extension delta has a constant part ({delta}): degree "
-                "escalation deltas are linear in the new variables")
-        for var, _coeff in delta.term_items():
-            if var.index < extension.base_variables:
-                raise ValueError(
-                    f"extension delta mentions pre-extension variable "
-                    f"{var.name!r}; only new columns may be touched")
-        constraint = self.constraints[index]
-        self.constraints[index] = Constraint(constraint.expr + delta,
-                                             constraint.kind, constraint.origin)
-        if index < extension.base_constraints:
-            previous = extension.extended.get(index)
-            extension.extended[index] = delta if previous is None \
-                else previous + delta
-
-    def end_extension(self) -> SystemExtension:
-        """Close the round and return its journal (for LP matrix growth)."""
-        extension = self._extension
-        if extension is None:
-            raise RuntimeError("end_extension without begin_extension")
-        self._extension = None
-        return extension
+               origin: str = "") -> None:
+        self.add_ge(_as_affexpr(right), _as_affexpr(left), origin)
 
     # -- statistics / debugging ------------------------------------------------------
 

@@ -1,12 +1,11 @@
-"""The LP session: one solver front over a growing assembled system.
+"""The LP session: one solver front over one assembled system.
 
 Absynth drives one CLP instance *incrementally*: the base constraint matrix
 is loaded once and each stage of the iterative objective scheme only adds
 its objective-fixing row.  The staged pipeline (:mod:`repro.core.pipeline`)
-grows the :class:`~repro.core.solver.AssembledSystem` append-only across
-degree escalations, and :class:`LPSession` lives alongside it in the
-pipeline's ``AnalysisState``, surviving objective stages *and* degree
-escalations.
+builds one :class:`~repro.core.solver.AssembledSystem` and one
+:class:`LPSession` per degree attempt; the session survives the attempt's
+objective stages.
 
 Every solve calls SciPy's ``linprog`` (HiGHS) on the matrices served by
 :meth:`~repro.core.solver.AssembledSystem.matrices`.  The measured win of
@@ -25,18 +24,16 @@ from repro.core.solver import AssembledSystem
 
 
 class LPSession:
-    """A persistent solver over one growing :class:`AssembledSystem`.
+    """A solver over one :class:`AssembledSystem` for one degree attempt.
 
     Lifecycle, as driven by :class:`~repro.core.solver.IterativeMinimizer`
     and :class:`~repro.core.pipeline.AnalysisPipeline`::
 
         session = LPSession(assembled)
-        for degree attempt:
-            for stage objective:
-                values = session.solve(objective)  # unless already optimal
-                session.fix_objective(objective, bound)
-            session.clear_stage_rows()                # drop the fix rows
-            assembled.extend(extension)               # on escalation
+        for stage objective:
+            values = session.solve(objective)  # unless already optimal
+            session.fix_objective(objective, bound)
+        session.clear_stage_rows()                # drop the fix rows
     """
 
     def __init__(self, assembled: AssembledSystem) -> None:
@@ -60,5 +57,5 @@ class LPSession:
         self._stage_rows.append((objective, bound))
 
     def clear_stage_rows(self) -> None:
-        """Drop every stage row (between degree attempts)."""
+        """Drop every stage row (at the end of an attempt)."""
         self._stage_rows = []

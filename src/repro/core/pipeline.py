@@ -1,31 +1,24 @@
-"""The staged, incremental analysis pipeline (degree-escalation reuse).
+"""The staged analysis pipeline: prepare once, then derive and solve per degree.
 
-The analyzer used to rebuild *everything* per degree retry: front-end
-transforms, abstract interpretation, templates, the whole
-:class:`~repro.core.constraints.ConstraintSystem` and the LP assembly.  The
-pipeline splits one analysis into explicit stages with a persistent
-:class:`AnalysisState`:
+One analysis runs these stages:
 
 1. **prepare** -- program transforms + abstract interpretation.  Degree
-   independent; computed exactly once per analysis.
-2. **templates / derive** -- the base derivation at degree 1 (the journaled
-   walk of :class:`~repro.core.derivation.DerivationBuilder`), then one
-   append-only *extension* walk per further degree: templates grow
-   monotonically (new monomials get new LP variables, old ones keep
-   theirs), existing constraint rows are kept verbatim and only gain
-   entries in the new columns, and only the constraints mentioning new
-   variables are emitted.
-3. **solve** -- the iterative LP over an :class:`~repro.core.solver.
-   AssembledSystem` that is *grown in place* across escalations instead of
-   being re-translated.
+   independent; computed exactly once per analysis (:class:`PreparedProgram`).
+2. **derive** -- the derivation walk of
+   :class:`~repro.core.derivation.DerivationBuilder` at one degree, into a
+   fresh :class:`~repro.core.constraints.ConstraintSystem` and
+   :class:`~repro.core.specs.SpecContext` (:class:`DegreeSystem`).
+3. **solve** -- the iterative LP over a fresh
+   :class:`~repro.core.solver.AssembledSystem` and
+   :class:`~repro.core.lpsession.LPSession`.
 
-Every analysis at degree ``d`` builds its system through the same staged
-construction (base degree, then extensions up to ``d``) whether or not the
-intermediate degrees are solved.  Consequence: an escalating run
-(``max_degree=1`` failing, retrying at 2) and a cold ``max_degree=2`` run
-produce *byte-identical* constraint systems, hence byte-identical bounds
-and certificates -- the escalating run simply reuses the work it already
-did.  Per-stage wall times and variable/constraint deltas are recorded in
+Degree escalation is one rule: when the degree-``d`` LP is infeasible,
+stages 2 and 3 run again from scratch at ``d+1``.  Only the prepare products
+are kept.  A cold ``max_degree=2`` run derives degree 2 directly, and an
+escalating run's degree-2 attempt builds exactly the same system, so both
+give the same bound and certificate.  The rewrite functions of
+:mod:`repro.core.rewrite` are memoised across attempts, which is what keeps
+a rebuild cheap.  Per-stage wall times and LP sizes are recorded in
 :class:`PipelineStats` and threaded through
 :class:`~repro.core.analyzer.AnalysisResult` into the service layer and
 ``BENCH_entailment.json``.
@@ -63,56 +56,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class DegreeStage:
-    """Build/solve statistics of one degree stage of the pipeline."""
+    """Build/solve statistics of one degree attempt."""
 
     degree: int
-    #: Whether this stage was built from scratch ("base") or appended onto
-    #: the previous degree's system ("extend").
-    kind: str = "base"
     build_seconds: float = 0.0
     solve_seconds: float = 0.0
-    variables_added: int = 0
-    constraints_added: int = 0
-    #: Rows of earlier degrees that gained entries in new columns.
-    constraints_extended: int = 0
-    #: Rows of earlier degrees kept verbatim (no new entries at all).
-    constraints_reused: int = 0
     variables_total: int = 0
     constraints_total: int = 0
-    solved: bool = False
+    #: None until the attempt's LP has been solved.
     feasible: Optional[bool] = None
-    #: LP solves of this stage's attempt (``repro.core.lpsession``).
+    #: LP solves of this attempt (``repro.core.lpsession``).
     cold_solves: int = 0
     #: Objective stages of this attempt answered without an LP solve
     #: (already optimal at the previous stage's point).
     skipped_solves: int = 0
 
-    def reuse_ratio(self) -> Optional[float]:
-        """Fraction of this stage's system carried over from earlier degrees."""
-        if self.kind != "extend":
-            return None
-        total = self.variables_total + self.constraints_total
-        if total == 0:
-            return None
-        carried = (self.variables_total - self.variables_added) \
-            + self.constraints_reused + self.constraints_extended
-        return round(carried / total, 4)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "degree": self.degree,
-            "kind": self.kind,
             "build_seconds": round(self.build_seconds, 4),
             "solve_seconds": round(self.solve_seconds, 4),
-            "variables_added": self.variables_added,
-            "constraints_added": self.constraints_added,
-            "constraints_extended": self.constraints_extended,
-            "constraints_reused": self.constraints_reused,
             "variables_total": self.variables_total,
             "constraints_total": self.constraints_total,
-            "solved": self.solved,
             "feasible": self.feasible,
-            "reuse_ratio": self.reuse_ratio(),
             "cold_solves": self.cold_solves,
             "skipped_solves": self.skipped_solves,
         }
@@ -120,29 +86,13 @@ class DegreeStage:
 
 @dataclass
 class PipelineStats:
-    """Per-stage walls and system deltas of one full analysis."""
+    """Per-stage walls and system sizes of one full analysis."""
 
     prepare_seconds: float = 0.0
     #: Degrees whose LP was actually solved (the retry schedule).
     attempted_degrees: List[int] = field(default_factory=list)
-    #: One entry per *constructed* degree (superset of the attempted ones:
-    #: a cold ``max_degree=2`` run constructs degree 1 without solving it).
+    #: One entry per derived degree, in attempt order.
     stages: List[DegreeStage] = field(default_factory=list)
-
-    @property
-    def escalation_reuse_ratio(self) -> Optional[float]:
-        """Reuse ratio of the last extension stage (None for single-degree runs)."""
-        for stage in reversed(self.stages):
-            ratio = stage.reuse_ratio()
-            if ratio is not None:
-                return ratio
-        return None
-
-    def stage_for(self, degree: int) -> Optional[DegreeStage]:
-        for stage in self.stages:
-            if stage.degree == degree:
-                return stage
-        return None
 
     def build_seconds_total(self) -> float:
         return sum(stage.build_seconds for stage in self.stages)
@@ -164,7 +114,6 @@ class PipelineStats:
             "build_seconds": round(self.build_seconds_total(), 4),
             "solve_seconds": round(self.solve_seconds_total(), 4),
             "attempted_degrees": list(self.attempted_degrees),
-            "escalation_reuse_ratio": self.escalation_reuse_ratio,
             # Always 0: kept so readers that sum warm + cold solves work.
             "warm_solves": 0,
             "cold_solves": self.cold_solves,
@@ -174,27 +123,26 @@ class PipelineStats:
 
 
 # ---------------------------------------------------------------------------
-# Persistent analysis state
+# Stage products
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AnalysisState:
-    """Everything the pipeline keeps alive across degree escalations."""
+class PreparedProgram:
+    """The degree-independent products of :meth:`AnalysisPipeline.prepare`."""
 
     program: ast.Program
     interpreter: AbstractInterpreter
     recursive: List[str]
-    system: ConstraintSystem
-    specs: SpecContext
-    builder: Optional[DerivationBuilder] = None
-    #: The entry annotation of the main procedure (merged across degrees).
-    initial: Optional[PotentialAnnotation] = None
-    #: LP assembly grown in place; created lazily at the first solve.
-    assembled: Optional[AssembledSystem] = None
-    #: LP session over ``assembled`` (same lifetime): it survives objective
-    #: stages and degree escalations.
-    session: Optional[LPSession] = None
-    built_degree: Optional[int] = None
+
+
+@dataclass
+class DegreeSystem:
+    """One degree's derivation (its builder owns the constraint system)."""
+
+    builder: DerivationBuilder
+    #: The entry annotation of the main procedure.
+    initial: PotentialAnnotation
+    stage: DegreeStage
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +150,7 @@ class AnalysisState:
 # ---------------------------------------------------------------------------
 
 class AnalysisPipeline:
-    """Drives prepare -> (templates/derive)* -> solve with state reuse."""
+    """Drives prepare -> (derive -> solve)* over the degree schedule."""
 
     def __init__(self, program: ast.Program, config: "AnalyzerConfig") -> None:
         self.program = program
@@ -211,7 +159,7 @@ class AnalysisPipeline:
 
     # -- stage 1: prepare (degree independent) ------------------------------
 
-    def prepare(self) -> AnalysisState:
+    def prepare(self) -> PreparedProgram:
         """Front-end transforms + abstract interpretation, exactly once."""
         started = time.perf_counter()
         program = self.program
@@ -225,124 +173,61 @@ class AnalysisPipeline:
         for name in recursive:
             interpreter.ensure_procedure(name)
         self.stats.prepare_seconds = time.perf_counter() - started
-        return AnalysisState(program=program, interpreter=interpreter,
-                             recursive=recursive, system=ConstraintSystem(),
-                             specs=SpecContext())
+        return PreparedProgram(program, interpreter, recursive)
 
-    # -- stages 2+3: templates + derivation ---------------------------------
+    # -- stage 2: derive ------------------------------------------------------
 
-    def ensure_degree(self, state: AnalysisState, degree: int) -> None:
-        """Construct (incrementally) the system for ``degree``.
-
-        The system is always built through the same stage sequence --
-        base degree first, then one extension per further degree -- so the
-        result is independent of which intermediate degrees were solved.
-        """
-        if state.built_degree is None:
-            self._build_base(state, min(degree, 1))
-        while state.built_degree < degree:
-            self._extend(state, state.built_degree + 1)
-
-    def _build_base(self, state: AnalysisState, degree: int) -> None:
+    def ensure_degree(self, prepared: PreparedProgram,
+                      degree: int) -> DegreeSystem:
+        """Derive the degree-``degree`` system from scratch."""
         started = time.perf_counter()
-        program = state.program
+        program = prepared.program
         basegen_config = self.config.basegen(degree)
-        builder = DerivationBuilder(program, state.interpreter, state.system,
-                                    basegen_config, state.specs)
-        state.builder = builder
+        system = ConstraintSystem()
+        specs = SpecContext()
+        builder = DerivationBuilder(program, prepared.interpreter, system,
+                                    basegen_config, specs)
         # Specifications for (mutually) recursive procedures.
-        for name in state.recursive:
+        for name in prepared.recursive:
             proc = program.procedures[name]
-            entry_context = state.interpreter.context_before(proc.body)
+            entry_context = prepared.interpreter.context_before(proc.body)
             monomials = template_monomials_for_procedure(
                 proc.body, entry_context, basegen_config)
-            pre = PotentialAnnotation.template(state.system, monomials,
+            pre = PotentialAnnotation.template(system, monomials,
                                                f"spec_{name}", nonneg=True)
-            state.specs.register(ProcedureSpec(
+            specs.register(ProcedureSpec(
                 name=name, pre=pre, post=PotentialAnnotation.zero(),
                 modified_variables=modified_variables(program, name)))
-        for name in state.recursive:
+        for name in prepared.recursive:
             builder.constrain_specification(name)
-        state.initial = builder.analyze_command(program.main_procedure.body,
-                                                PotentialAnnotation.zero())
-        state.built_degree = degree
-        self.stats.stages.append(DegreeStage(
-            degree=degree, kind="base",
-            build_seconds=time.perf_counter() - started,
-            variables_added=state.system.num_variables,
-            constraints_added=state.system.num_constraints,
-            variables_total=state.system.num_variables,
-            constraints_total=state.system.num_constraints))
+        initial = builder.analyze_command(program.main_procedure.body,
+                                          PotentialAnnotation.zero())
+        stage = DegreeStage(degree=degree,
+                            build_seconds=time.perf_counter() - started,
+                            variables_total=system.num_variables,
+                            constraints_total=system.num_constraints)
+        self.stats.stages.append(stage)
+        return DegreeSystem(builder, initial, stage)
 
-    def _extend(self, state: AnalysisState, degree: int) -> None:
-        started = time.perf_counter()
-        program = state.program
-        system = state.system
-        builder = state.builder
-        basegen_config = self.config.basegen(degree)
-        system.begin_extension()
-        builder.begin_extension(basegen_config)
-        # Grow the spec templates first (mirroring the base registration
-        # order), then replay the procedure obligations and the main body.
-        for name in state.recursive:
-            proc = program.procedures[name]
-            entry_context = state.interpreter.context_before(proc.body)
-            monomials = template_monomials_for_procedure(
-                proc.body, entry_context, basegen_config)
-            spec = state.specs.lookup(name)
-            merged, delta = PotentialAnnotation.extend_template(
-                system, spec.pre, monomials, f"spec_{name}", nonneg=True)
-            spec.pre = merged
-            builder.register_spec_delta(name, delta)
-        for name in state.recursive:
-            builder.extend_specification(name)
-        # The main body's continuation is the zero annotation at every
-        # degree (as in the base walk), so its full post and its delta are
-        # both zero: ``post == base_post + dpost``.
-        state.initial, _ = builder.extend_command(
-            program.main_procedure.body, PotentialAnnotation.zero(),
-            PotentialAnnotation.zero())
-        builder.end_extension()
-        extension = system.end_extension()
-        if state.assembled is not None:
-            state.assembled.extend(extension)
-        state.built_degree = degree
-        self.stats.stages.append(DegreeStage(
-            degree=degree, kind="extend",
-            build_seconds=time.perf_counter() - started,
-            variables_added=system.num_variables - extension.base_variables,
-            constraints_added=system.num_constraints - extension.base_constraints,
-            constraints_extended=extension.constraints_extended,
-            constraints_reused=(extension.base_constraints
-                                - extension.constraints_extended),
-            variables_total=system.num_variables,
-            constraints_total=system.num_constraints))
+    # -- stage 3: solve ------------------------------------------------------
 
-    # -- stage 4: solve ------------------------------------------------------
-
-    def solve_attempt(self, state: AnalysisState, degree: int) -> "AnalysisResult":
+    def solve_attempt(self, derived: DegreeSystem) -> "AnalysisResult":
         from repro.core.analyzer import AnalysisResult
 
         started = time.perf_counter()
-        system = state.system
-        stage = self.stats.stage_for(degree)
+        system = derived.builder.system
+        stage = derived.stage
+        degree = stage.degree
         self.stats.attempted_degrees.append(degree)
-        objectives = self._objectives(state.initial)
-        if state.assembled is None:
-            state.assembled = AssembledSystem(system)
-        if state.session is None:
-            state.session = LPSession(state.assembled)
-        solves_before = state.session.solves
-        skipped_before = state.session.skipped
+        objectives = self._objectives(derived.initial)
+        session = LPSession(AssembledSystem(system))
         solver = IterativeMinimizer(system, tolerance=self.config.lp_tolerance)
-        solution = solver.solve(objectives, session=state.session)
+        solution = solver.solve(objectives, session=session)
         elapsed = time.perf_counter() - started
-        if stage is not None:
-            stage.solve_seconds = elapsed
-            stage.solved = True
-            stage.feasible = solution is not None
-            stage.cold_solves = state.session.solves - solves_before
-            stage.skipped_solves = state.session.skipped - skipped_before
+        stage.solve_seconds = elapsed
+        stage.feasible = solution is not None
+        stage.cold_solves = session.solves
+        stage.skipped_solves = session.skipped
         if solution is None:
             return AnalysisResult(
                 False, None, degree, elapsed,
@@ -350,8 +235,8 @@ class AnalysisPipeline:
                 f"the LP is infeasible for degree {degree} "
                 "(no bound exists for the chosen base functions)",
                 failure_kind="no-bound")
-        bound_poly = self._extract_bound(state.initial, solution)
-        builder = state.builder
+        bound_poly = self._extract_bound(derived.initial, solution)
+        builder = derived.builder
         certificate = build_certificate(bound_poly, builder.steps,
                                         builder.weakens, solution.assignment)
         return AnalysisResult(True, ExpectedBound(bound_poly), degree, elapsed,
@@ -398,7 +283,7 @@ class AnalysisPipeline:
                            stats=self.stats)
 
         try:
-            state = self.prepare()
+            prepared = self.prepare()
         except AnalysisError as exc:
             return finalise(AnalysisResult(
                 False, None, config.max_degree, 0.0, 0, 0, None, str(exc),
@@ -419,19 +304,19 @@ class AnalysisPipeline:
                                   config.degree_limit + 1))
         last_failure: Optional[AnalysisResult] = None
         for degree in degrees:
+            # A failed attempt's system is discarded, so an error result
+            # reports no LP size.
             try:
-                self.ensure_degree(state, degree)
-                result = self.solve_attempt(state, degree)
+                result = self.solve_attempt(
+                    self.ensure_degree(prepared, degree))
             except AnalysisError as exc:
                 return finalise(AnalysisResult(
-                    False, None, degree, 0.0,
-                    state.system.num_variables, state.system.num_constraints,
-                    None, str(exc), failure_kind="analysis-error"))
+                    False, None, degree, 0.0, 0, 0, None, str(exc),
+                    failure_kind="analysis-error"))
             except MemoryError as exc:
                 return finalise(AnalysisResult(
-                    False, None, degree, 0.0,
-                    state.system.num_variables, state.system.num_constraints,
-                    None, str(exc) or "constraint cap exceeded",
+                    False, None, degree, 0.0, 0, 0, None,
+                    str(exc) or "constraint cap exceeded",
                     failure_kind="resource-limit"))
             if result.success:
                 return finalise(result)

@@ -184,9 +184,9 @@ def generate_rewrites(context: Context,
 #: only on the context and the atom pool -- *not* on the monomial pool or the
 #: degree -- and the atom pool is essentially stable across degree escalation
 #: (degree-``d+1`` monomials are products of existing atoms).  Caching them
-#: lets the extension walk of :mod:`repro.core.derivation` skip the entire
-#: pairwise-transfer generation when escalating, and lets a staged cold run
-#: reuse the degree-1 work at degree 2.
+#: is what makes escalation by rebuilding cheap: the degree-2 walk of
+#: :mod:`repro.core.pipeline` skips the pairwise-transfer generation the
+#: degree-1 walk already did.
 _ATOM_REWRITE_CACHE: Dict[Tuple, Tuple[List[RewriteFunction],
                                        List[Tuple[Polynomial, object,
                                                   IntervalAtom]]]] = {}
@@ -265,8 +265,7 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
 
 
 #: Memo for the category-1 rewrites: ``M >= 0`` depends on ``M`` alone, so
-#: one shared function per monomial serves every weakening and degree (and
-#: lets the escalation filter recognise it by identity).
+#: one shared function per monomial serves every weakening and degree.
 _DISCARD_CACHE: Dict[Monomial, RewriteFunction] = {}
 _DISCARD_CACHE_LIMIT = 1 << 16
 

@@ -41,7 +41,7 @@ class AbstractInterpreter:
         self.contexts: ContextMap = {}
         self.post_contexts: ContextMap = {}
         #: Procedures whose fixpoints are already recorded.  The contexts a
-        #: run computes are degree independent, so the incremental pipeline
+        #: run computes are degree independent, so the pipeline
         #: (:mod:`repro.core.pipeline`) keeps one interpreter alive across
         #: degree escalations and re-entry is a no-op.
         self._analyzed: Dict[str, Context] = {}

@@ -68,7 +68,12 @@ from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 #: stage that is already optimal at the previous stage's point keeps that
 #: point instead of re-solving, so certificates change wherever a final
 #: stage is skipped; v9 records read as misses.
-SCHEMA_VERSION = 10
+#: v11: degree escalation rebuilds each degree from scratch, so the
+#: pipeline record drops ``escalation_reuse_ratio`` and the per-stage
+#: ``kind``/``reuse_ratio``/``*_added``/``constraints_extended``/
+#: ``constraints_reused``/``solved`` keys, and degree-2 certificates change
+#: (the LP columns are in a new order); v10 records read as misses.
+SCHEMA_VERSION = 11
 
 #: Statuses a job can end in.  ``ok``/``no-bound``/``parse-error`` are
 #: deterministic outcomes of the job's content and therefore cacheable;
@@ -228,9 +233,11 @@ def certificate_payload(certificate: Certificate) -> Dict[str, object]:
     This keeps the machine-checkable *evidence* attached to every stored
     result: the instantiated annotation at every program point and, per
     weakening, the non-negative combination of rewrite functions justifying
-    it.  Polynomials are rendered in the Table-1 syntax; the algebraic
-    re-check (:func:`repro.core.certificates.check_certificate`) runs on the
-    live objects before the record is written.
+    it.  Polynomials are rendered in the Table-1 syntax, which rounds
+    inexact coefficients to 6 digits.  Stored certificates are *unchecked*:
+    no service code calls :func:`repro.core.certificates.check_certificate`
+    (only ``repro analyze --certificate`` does), until the check becomes a
+    gate on ``ok`` results (ROADMAP item 1(d)).
     """
     return {
         "bound": str(certificate.bound),

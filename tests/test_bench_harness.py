@@ -384,6 +384,34 @@ class TestPerfCheck:
         assert find_regressions(report(1.0, 0.6), report(1.0, 0.5)) == []
         assert find_regressions(report(1.0, 0.06), report(1.0, 0.03)) == []
 
+    def test_flags_escalated_wall_regression(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # The degree-1 -> 2 retry path doubled while the cold wall held.
+        def report(escalated):
+            return {"programs": [{"name": "pol04", "wall_seconds": 1.0,
+                                  "escalated_wall_seconds": escalated}]}
+
+        problems = find_regressions(report(2.0), report(1.0))
+        assert problems == [
+            "pol04: escalated wall 2.000s vs baseline 1.000s (+100%)"]
+        # Same threshold and floor as the wall: +20%, or +30ms, passes.
+        assert find_regressions(report(1.2), report(1.0)) == []
+        assert find_regressions(report(0.06), report(0.03)) == []
+
+    def test_escalation_pass_records_escalated_walls(self):
+        from repro.bench.perfsmoke import run_suite
+
+        report = run_suite(programs=["pol05"], escalation=True)
+        row, = report["programs"]
+        assert row["escalated_wall_seconds"] > 0
+        # The failed degree-1 attempt is solved too.
+        assert row["escalated_lp_solves"] > row["lp_solves"]
+        assert report["escalation"] == {
+            "programs": 1, "wall_escalated": pytest.approx(
+                row["escalated_wall_seconds"], abs=1e-3),
+            "cold_solves": row["escalated_lp_solves"]}
+
     def test_check_cli_against_self(self, tmp_path):
         from repro.bench.perfsmoke import main
 
@@ -451,3 +479,46 @@ class TestTable1Workers:
                         False, "paper", message="nope",
                         failure_kind="no-bound")
         assert ok.status == "ok" and bad.status == "no-bound"
+
+
+class TestPerfbenchContract:
+    """What ``perfbench/`` reads from the package must stay resolvable."""
+
+    def test_tracer_installs_and_restores(self, monkeypatch):
+        import os
+        import sys
+
+        from repro.core.analyzer import analyze_source
+        from repro.core.derivation import DerivationBuilder
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        monkeypatch.delitem(sys.modules, "tracer", raising=False)
+        import tracer
+
+        weaken = vars(DerivationBuilder)["weaken"]
+        spans = tracer.Tracer()
+        restore = tracer.install(spans)
+        try:
+            assert vars(DerivationBuilder)["weaken"] is not weaken
+            analyze_source("proc main(n) { while (n > 0) { n = n - 1; "
+                           "tick(1); } }").require_bound()
+        finally:
+            restore()
+        assert vars(DerivationBuilder)["weaken"] is weaken
+        names = {span[2] for span in spans.spans}
+        assert {"core.prepare", "core.derive", "core.weaken",
+                "core.solve", "core.certify"} <= names
+
+    def test_pipeline_record_keeps_the_solve_counters(self):
+        from repro.service.jobs import AnalysisJob, run_job
+
+        job = AnalysisJob.create(
+            "p", "proc main(n) { while (n > 0) { n = n - 1; tick(1); } }",
+            {})
+        record = run_job(job).to_record()
+        assert record["status"] == "ok"
+        pipeline = record["pipeline"]
+        assert {"warm_solves", "cold_solves", "attempted_degrees"} \
+            <= set(pipeline)
+        assert pipeline["attempted_degrees"] == [1]

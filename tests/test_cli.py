@@ -108,7 +108,6 @@ class TestAnalyzeCommand:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "degree: 2 (attempted [1, 2])" in output
-        assert "escalation reused" in output
 
     def test_analyze_degree_limit_caps_escalation(self, tmp_path, capsys):
         path = tmp_path / "nested.imp"

@@ -3,7 +3,7 @@
 Covers the session protocol on a tiny LP (optimum, stage rows, infeasible
 -> None), the stage-row cache of ``AssembledSystem.matrices``, the
 already-optimal stage skip and the sparse snap of the minimizer, and the
-registry pin: an escalating analysis, whose one session answers every
+registry pin: an escalating analysis, which builds a fresh session per
 degree attempt, yields the same bound and certificate as a cold run at the
 target degree.
 """
@@ -91,23 +91,12 @@ class TestSessionProtocol:
         system.add_ge(-x - 1)          # -x - 1 >= 0, impossible for x >= 0
         assert LPSession(AssembledSystem(system)).solve(x) is None
 
-    def test_session_follows_an_extended_assembly(self):
-        # Degree escalation grows the assembly under a live session: the
-        # next solve sees the new column and rows without a new session.
+    def test_minimizer_rejects_a_stale_assembly(self):
         system, x, y = small_system()
         assembled = AssembledSystem(system)
-        session = LPSession(assembled)
-        assert np.allclose(session.solve(x + y), [1.0, 1.0], atol=1e-6)
-        system.begin_extension()
-        z = system.new_var("z", nonneg=True)
-        system.extend_constraint(0, z)     # x + y + z - 2 >= 0
-        system.add_ge(z - 2)               # z >= 2
-        assembled.extend(system.end_extension())
-        values = session.solve(x + y)
-        assert values is not None and len(values) == 3
-        assert values[0] + values[1] == pytest.approx(0.0, abs=1e-6)
-        assert values[2] >= 2.0 - 1e-6
-        assert session.solves == 2
+        system.new_var("z", nonneg=True)
+        with pytest.raises(ValueError, match="stale"):
+            IterativeMinimizer(system).solve([], assembled=assembled)
 
     def test_matches_direct_assembled_solve(self):
         system, x, y = small_system()
@@ -382,7 +371,7 @@ class TestSparseSnap:
 # ---------------------------------------------------------------------------
 
 class TestEscalatingColdIdentity:
-    """One session across degree attempts changes nothing."""
+    """A fresh session per degree attempt: escalated equals cold."""
 
     @pytest.mark.parametrize("bench", POLYNOMIAL, ids=lambda b: b.name)
     def test_registry_identity(self, bench):
@@ -401,7 +390,7 @@ class TestEscalatingColdIdentity:
         assert escalated.bound.pretty() == cold.bound.pretty()
         assert canonical_certificate(escalated.certificate) \
             == canonical_certificate(cold.certificate)
-        # The escalating session also answered the failed degree-1 attempt.
+        # The escalating run also solved the failed degree-1 attempt.
         assert escalated.stats.attempted_degrees == [1, target]
         assert escalated.stats.cold_solves > cold.stats.cold_solves > 0
 

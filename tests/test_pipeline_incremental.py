@@ -1,21 +1,17 @@
-"""Tests for the incremental degree-escalation pipeline.
+"""Tests for the degree-escalation pipeline.
 
-Covers the identity guarantee (an escalated 1->2 analysis is byte-identical
-to a cold ``max_degree=2`` run), the per-stage statistics, the append-only
-extension protocol of the constraint system, the in-place growth of the LP
-assembly, and the per-attempt/total timing split.
+Covers the identity guarantee (an escalated 1->2 analysis, which rebuilds
+degree 2 from scratch, is byte-identical to a cold ``max_degree=2`` run),
+the per-stage statistics, and the per-attempt/total timing split.
 """
 
 import json
 import re
 
-import numpy as np
 import pytest
 
 from repro.bench.registry import polynomial_benchmarks
 from repro.core.analyzer import analyze_program
-from repro.core.constraints import AffExpr, ConstraintSystem
-from repro.core.solver import AssembledSystem
 from repro.lang import builder as B
 from repro.service.jobs import AnalysisJob, certificate_payload
 
@@ -76,50 +72,57 @@ class TestEscalationIdentity:
         assert escalated.bound.pretty() == cold.bound.pretty()
         assert canonical_certificate(escalated.certificate) \
             == canonical_certificate(cold.certificate)
-        # The escalation measurably reused the degree-1 system.
-        ratio = escalated.stats.escalation_reuse_ratio
-        assert ratio is not None and ratio > 0
         assert escalated.stats.attempted_degrees == [1, target]
-        # Cold runs construct every stage but only solve the target degree.
+        # Cold runs build and solve the target degree only.
         assert cold.stats.attempted_degrees == [target]
-        assert [stage.degree for stage in cold.stats.stages] \
-            == list(range(1, target + 1))
+        assert [stage.degree for stage in cold.stats.stages] == [target]
 
 
 class TestPipelineStats:
-    def test_stage_deltas_match_constraint_system_counts(self):
+    def test_one_stage_per_attempted_degree(self):
         result = analyze_program(nested_loop_program(), max_degree=1,
                                  auto_degree=True, degree_limit=2)
         assert result.success and result.degree == 2
         stats = result.stats
         assert stats.attempted_degrees == [1, 2]
-        assert [stage.kind for stage in stats.stages] == ["base", "extend"]
-        base, extend = stats.stages
-        # The per-stage deltas must add up to the final system exactly.
-        assert base.variables_added + extend.variables_added \
-            == extend.variables_total == result.lp_variables
-        assert base.constraints_added + extend.constraints_added \
-            == extend.constraints_total == result.lp_constraints
-        # Every base row was either kept verbatim or extended, never both.
-        assert extend.constraints_reused + extend.constraints_extended \
-            == base.constraints_total
-        assert extend.constraints_reused >= 0
-        assert base.reuse_ratio() is None
-        assert extend.reuse_ratio() == stats.escalation_reuse_ratio > 0
-        # Both degrees were solved: degree 1 infeasible, degree 2 feasible.
-        assert base.solved and base.feasible is False
-        assert extend.solved and extend.feasible is True
+        assert [stage.degree for stage in stats.stages] == [1, 2]
+        first, second = stats.stages
+        # Each stage's totals are its own system's, built from scratch.
+        assert 0 < first.variables_total < second.variables_total \
+            == result.lp_variables
+        assert 0 < first.constraints_total < second.constraints_total \
+            == result.lp_constraints
+        # Degree 1 is infeasible, degree 2 feasible.
+        assert first.feasible is False
+        assert second.feasible is True
         payload = stats.to_dict()
         assert payload["attempted_degrees"] == [1, 2]
-        assert payload["stages"][1]["reuse_ratio"] > 0
+        assert [stage["degree"] for stage in payload["stages"]] == [1, 2]
 
-    def test_single_degree_run_has_no_escalation_ratio(self):
+    def test_single_degree_run_has_one_stage(self):
         program = B.program(B.proc("main", ["n"],
             B.while_("n > 0", B.assign("n", "n - 1"), B.tick(1))))
         result = analyze_program(program, max_degree=1, auto_degree=False)
         assert result.success
-        assert result.stats.attempted_degrees == [1]
-        assert result.stats.escalation_reuse_ratio is None
+        stats = result.stats
+        assert stats.attempted_degrees == [1]
+        assert [stage.degree for stage in stats.stages] == [1]
+        (stage,) = stats.stages
+        assert stage.feasible is True
+        assert stage.variables_total == result.lp_variables
+        assert stage.constraints_total == result.lp_constraints
+
+    def test_escalated_system_is_sized_like_a_cold_build(self):
+        # The degree-2 attempt starts from a fresh system, so nothing of
+        # the failed degree-1 attempt is left in its LP.
+        cold = analyze_program(nested_loop_program(), max_degree=2)
+        escalated = analyze_program(nested_loop_program(), max_degree=1,
+                                    auto_degree=True, degree_limit=2)
+        assert cold.success and escalated.success
+        assert escalated.degree == cold.degree == 2
+        assert (escalated.lp_variables, escalated.lp_constraints) \
+            == (cold.lp_variables, cold.lp_constraints)
+        assert escalated.bound.pretty() == cold.bound.pretty()
 
 
 class TestTimingSplit:
@@ -145,67 +148,6 @@ class TestTimingSplit:
         assert not result.success
         assert result.failure_kind == "no-bound"
         assert result.time_seconds <= result.total_seconds
-
-
-class TestExtensionProtocol:
-    def build_system(self):
-        system = ConstraintSystem()
-        x = system.new_var("x", nonneg=True)
-        y = system.new_var("y")
-        eq_index = system.add_eq(x + y - 3, origin="eq0")
-        ge_index = system.add_ge(x - y + 1, origin="ge0")
-        return system, x, y, eq_index, ge_index
-
-    def test_extended_assembly_equals_fresh_assembly(self):
-        system, x, y, eq_index, ge_index = self.build_system()
-        assembled = AssembledSystem(system)
-        system.begin_extension()
-        z = system.new_var("z", nonneg=True)
-        w = system.new_var("w", nonneg=True)
-        system.extend_constraint(eq_index, z * 2)
-        system.extend_constraint(ge_index, w * -1)
-        system.add_eq(z - w * 3 + 1, origin="new-eq")
-        system.add_ge(x + z - 7, origin="new-ge")
-        extension = system.end_extension()
-        assert extension.constraints_extended == 2
-        assembled.extend(extension)
-        fresh = AssembledSystem(system)
-        assert (assembled.a_eq.toarray() == fresh.a_eq.toarray()).all()
-        assert (assembled.a_ub_base.toarray()
-                == fresh.a_ub_base.toarray()).all()
-        assert (assembled.b_eq == fresh.b_eq).all()
-        assert (assembled.b_ub_base == fresh.b_ub_base).all()
-        assert np.array_equal(assembled.bounds, fresh.bounds)
-        assert assembled.num_vars == fresh.num_vars == 4
-
-    def test_extension_delta_must_not_touch_old_columns(self):
-        system, x, y, eq_index, _ = self.build_system()
-        system.begin_extension()
-        system.new_var("z", nonneg=True)
-        with pytest.raises(ValueError, match="pre-extension variable"):
-            system.extend_constraint(eq_index, x * 2)
-
-    def test_extension_delta_must_be_constant_free(self):
-        system, _x, _y, eq_index, _ = self.build_system()
-        system.begin_extension()
-        z = system.new_var("z", nonneg=True)
-        with pytest.raises(ValueError, match="constant part"):
-            system.extend_constraint(eq_index, z + 1)
-
-    def test_extend_outside_round_is_rejected(self):
-        system, _x, _y, eq_index, _ = self.build_system()
-        with pytest.raises(RuntimeError):
-            system.extend_constraint(eq_index, AffExpr.zero())
-
-    def test_stale_assembly_is_rejected(self):
-        system, *_ = self.build_system()
-        assembled = AssembledSystem(system)
-        system.begin_extension()
-        system.new_var("z", nonneg=True)
-        system.end_extension()
-        from repro.core.solver import IterativeMinimizer
-        with pytest.raises(ValueError, match="stale"):
-            IterativeMinimizer(system).solve([], assembled=assembled)
 
 
 class TestDegreeLimitOption:

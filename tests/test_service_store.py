@@ -97,7 +97,7 @@ class TestRobustness:
         store.put(result)
         path = store._path(result.job_hash)
         record = json.loads(open(path, encoding="utf-8").read())
-        assert record["schema"] == SCHEMA_VERSION == 10
+        assert record["schema"] == SCHEMA_VERSION == 11
         record["schema"] = schema
         record["checksum"] = record_checksum(record)
         with open(path, "w", encoding="utf-8") as handle:
@@ -115,6 +115,11 @@ class TestRobustness:
         # v9 records lack ``skipped_solves`` and may carry the certificate
         # of a re-solved final stage that v10 skips: not served either.
         self._assert_old_schema_is_a_miss(tmp_path, 9)
+
+    def test_v10_record_is_a_miss(self, tmp_path):
+        # v10 records carry the retired escalation-reuse keys and degree-2
+        # certificates over the old LP column order: not served either.
+        self._assert_old_schema_is_a_miss(tmp_path, 10)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(str(tmp_path))
