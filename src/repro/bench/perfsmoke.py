@@ -80,6 +80,7 @@ See PERFORMANCE.md for how to read the output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
@@ -187,6 +188,12 @@ def run_suite(group: str = "linear",
     for bench in benchmarks:
         program = bench.build()
         before = engine.stats.snapshot()
+        # Earlier programs' survivors (intern tables, engine memos) leave
+        # the collector's reach.  Otherwise a full collection scans the
+        # whole suite's heap, and its pause, which grows with the suite,
+        # lands on whichever program's allocations trigger it (that
+        # varies with the hash seed): 50 ms on a 40 ms program.
+        gc.freeze()
         start = time.perf_counter()
         result = analyze_program(program, **{**bench.analyzer_options,
                                              "domain": domain})
@@ -216,6 +223,7 @@ def run_suite(group: str = "linear",
                               if delta["queries"] else None,
         })
     total_wall = time.perf_counter() - suite_start
+    gc.unfreeze()
     # Report the delta over this suite only, so the JSON is comparable to
     # the committed baseline even from a warm or multi-suite process.
     suite_stats = engine.stats.delta(suite_before)
@@ -857,22 +865,35 @@ GATED_TIMES = (("wall_seconds", "wall"), ("build_seconds", "build"),
                ("solve_seconds", "solve"),
                ("escalated_wall_seconds", "escalated wall"))
 
+#: Per-program counts :func:`find_regressions` gates: the entailment queries
+#: an analysis issues.  A count does not jitter, so it needs no floor.
+GATED_COUNTS = (("fm_queries", "entailment queries"),)
+
 
 def find_regressions(report: Dict[str, object], baseline: Dict[str, object],
                      threshold: float = REGRESSION_THRESHOLD,
                      floor_seconds: float = REGRESSION_FLOOR_SECONDS
                      ) -> List[str]:
-    """Per-program time regressions of ``report`` (see :data:`GATED_TIMES`).
+    """Per-program regressions of ``report`` (see :data:`GATED_TIMES` and
+    :data:`GATED_COUNTS`).
 
     A program regresses on a time when it is both ``threshold`` (relative) slower and ``floor_seconds``
     (absolute) slower than the baseline -- the floor keeps sub-50ms jitter
-    on tiny programs from failing CI.  Programs missing from either side,
-    and times either side lacks, are skipped (they changed identity, not
-    speed).
+    on tiny programs from failing CI.  It regresses on a count when the
+    count exceeds the baseline's by more than ``threshold``.  Counts are
+    deterministic but depend on what the process analysed before (the
+    entailment memo is process-wide), so they are compared only while the
+    report's programs so far are the baseline's, in the same order.
+    Programs missing from either side, and values either side lacks, are
+    skipped (they changed identity, not speed).
     """
     base_rows = {row["name"]: row for row in baseline.get("programs", ())}
+    base_order = [row["name"] for row in baseline.get("programs", ())]
     problems = []
-    for row in report["programs"]:
+    in_step = True
+    for position, row in enumerate(report["programs"]):
+        in_step = (in_step and position < len(base_order)
+                   and base_order[position] == row["name"])
         base_row = base_rows.get(row["name"])
         if base_row is None:
             continue
@@ -884,6 +905,16 @@ def find_regressions(report: Dict[str, object], baseline: Dict[str, object],
                 problems.append(
                     f"{row['name']}: {label} {fresh:.3f}s vs baseline "
                     f"{base:.3f}s (+{(fresh / base - 1) * 100:.0f}%)")
+        if not in_step:
+            continue
+        for key, label in GATED_COUNTS:
+            base, fresh = base_row.get(key), row.get(key)
+            if base is None or fresh is None or base <= 0:
+                continue
+            if fresh > base * (1 + threshold):
+                problems.append(
+                    f"{row['name']}: {label} {fresh} vs baseline {base} "
+                    f"(+{(fresh / base - 1) * 100:.0f}%)")
     return problems
 
 
@@ -970,8 +1001,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "sequential analysis wall")
     parser.add_argument("--check", default=None, metavar="BASELINE.json",
                         help="compare per-program wall, build (derive), "
-                             "solve and escalated times against this "
-                             "baseline and exit non-zero on a "
+                             "solve and escalated times and entailment "
+                             "query counts against this baseline and exit "
+                             "non-zero on a "
                              f">{REGRESSION_THRESHOLD * 100:.0f}%% regression")
     parser.add_argument("--threshold", type=float,
                         default=REGRESSION_THRESHOLD,

@@ -17,7 +17,11 @@ interval atoms, ``M`` a base monomial, and ``Gamma`` the logical context):
    constant potential from an interval known to be large.
 3. ``A - B - c`` whenever ``Gamma |= D_A - D_B >= c`` and (for ``c > 0``)
    ``Gamma |= D_A >= c`` -- transfers potential between related intervals,
-   possibly extracting (``c > 0``) or paying (``c < 0``) constants.
+   possibly extracting (``c > 0``) or paying (``c < 0``) constants.  The
+   pairs come from the pool's structure: atoms with the same linear part
+   differ by a constant and need no query, and one query per ordered pair
+   of linear parts that share a variable serves all their atom pairs
+   (see :func:`_build_atom_rewrites`).
 4. Products ``F * M`` of a degree-1 rewrite function with a base monomial --
    non-negative because both factors are, covering the polynomial cases
    (e.g. ``|[0,n]|^2`` telescoping).
@@ -30,7 +34,6 @@ that justifies its non-negativity so certificates can be re-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -43,6 +46,7 @@ from repro.utils.polynomials import (
     Polynomial,
     clear_polynomial_caches,
 )
+from repro.utils.rationals import int_if_integral
 
 
 class RewriteFunction:
@@ -84,49 +88,6 @@ def _atoms_of(monomials: Iterable[Monomial]) -> List[IntervalAtom]:
     return atoms
 
 
-def _share_variable(a: IntervalAtom, b: IntervalAtom) -> bool:
-    return bool(set(a.variables()) & set(b.variables()))
-
-
-#: Pairwise differences ``D_A - D_B`` recur across weakenings (the atom pool
-#: is stable per program); memoise them process-wide.
-_DIFF_CACHE: Dict[Tuple[IntervalAtom, IntervalAtom], LinExpr] = {}
-_DIFF_CACHE_LIMIT = 65536
-
-
-def _atom_difference(a: IntervalAtom, b: IntervalAtom) -> LinExpr:
-    key = (a, b)
-    difference = _DIFF_CACHE.get(key)
-    if difference is None:
-        difference = a.diff - b.diff
-        if len(_DIFF_CACHE) >= _DIFF_CACHE_LIMIT:
-            _DIFF_CACHE.clear()
-        _DIFF_CACHE[key] = difference
-    return difference
-
-
-def _pair_constant(context: Context, difference: LinExpr,
-                   lower_a: Optional[Fraction]) -> Optional[Fraction]:
-    """The largest sound ``c`` for the rewrite ``A - B - c`` (None if invalid).
-
-    ``difference`` is the precomputed ``D_A - D_B``; ``lower_a`` is the
-    (cached) greatest lower bound of ``D_A`` under the context, or ``None``
-    when unbounded below.
-    """
-    if difference.is_constant():
-        gap: Optional[Fraction] = difference.const_term
-    else:
-        gap = context.greatest_lower_bound(difference)
-    if gap is None:
-        return None
-    if gap <= 0:
-        return gap
-    # For a positive extraction we additionally need D_A >= c.
-    if lower_a is None or lower_a <= 0:
-        return Fraction(0)
-    return min(gap, lower_a)
-
-
 #: Memo for :func:`generate_rewrites`; repeated weakenings at the same
 #: program point (loop entry/exit, degree retries) ask for identical sets.
 _REWRITE_CACHE: Dict[Tuple, List[RewriteFunction]] = {}
@@ -146,7 +107,6 @@ def clear_rewrite_caches() -> None:
     _REWRITE_CACHE.clear()
     _ATOM_REWRITE_CACHE.clear()
     _DISCARD_CACHE.clear()
-    _DIFF_CACHE.clear()
     clear_polynomial_caches()
 
 
@@ -208,59 +168,127 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     cached = _ATOM_REWRITE_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    unit = Monomial.one()
-    atom_monomials: Dict[IntervalAtom, Monomial] = {
-        atom: Monomial.of_atom(atom) for atom in atoms}
-    rewrites: List[RewriteFunction] = []
+    result = _build_atom_rewrites(context, atoms, max_pair_rewrites)
+    if len(_ATOM_REWRITE_CACHE) >= _ATOM_REWRITE_CACHE_LIMIT:
+        _ATOM_REWRITE_CACHE.clear()
+    _ATOM_REWRITE_CACHE[cache_key] = result
+    return result
 
-    # 2. constant extraction from single atoms (cache the lower bounds; they
-    #    are reused by the pair rewrites below).
+
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
+def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
+                         max_pair_rewrites: int
+                         ) -> Tuple[List[RewriteFunction],
+                                    List[Tuple[Polynomial, object,
+                                               IntervalAtom]]]:
+    """The unmemoised body of :func:`_atom_rewrites`.
+
+    Pair transfers work on the pool's structure, not on each pair.  Write
+    each difference as ``D = L + c`` and group the atoms by their linear
+    part ``L`` (the offsets of one guard form one group):
+
+    * inside a group, ``D_A - D_B`` is the constant ``c_A - c_B``, so the
+      pair needs no query;
+    * across two groups whose variables meet,
+      ``glb(D_A - D_B) = glb(L_A - L_B) + c_A - c_B`` exactly (adding a
+      constant moves the minimum, and an unbounded one stays unbounded),
+      so one query per ordered group pair serves all their atom pairs.
+
+    Pairs are emitted as the pairwise enumeration ordered them: constant
+    pairs by increasing shift (ties in pool order), then shared-variable
+    pairs in pool order, until ``max_pair_rewrites`` have been emitted.
+    """
+    unit = Monomial.one()
+    monomials = [Monomial.of_atom(atom) for atom in atoms]
+    rewrites: List[RewriteFunction] = []
     degree_one: List[Tuple[Polynomial, object, IntervalAtom]] = []
-    lower_bounds: Dict[IntervalAtom, Optional[Fraction]] = {}
-    for atom in atoms:
+
+    # 2. constant extraction from single atoms (the lower bounds are reused
+    #    by the pair rewrites below).
+    lower_bounds: List[Optional[Fraction]] = []
+    for atom, monomial in zip(atoms, monomials):
         lower = context.greatest_lower_bound(atom.diff)
-        lower_bounds[atom] = lower
+        lower_bounds.append(lower)
         if lower is not None and lower > 0:
-            poly = Polynomial({atom_monomials[atom]: 1, unit: -lower})
+            poly = Polynomial._raw({monomial: _ONE, unit: -lower})
             reason = (lambda a=atom, c=lower: f"{a} >= {c} under context")
             rewrites.append(RewriteFunction(poly, reason))
             degree_one.append((poly, reason, atom))
 
-    # 3. transfers between pairs of atoms.  Pairs differing only by a constant
-    #    (the telescoping rewrites of Sec. 7.1) are generated first -- they
-    #    need no entailment query and are the ones the derivations rely on --
-    #    followed by general shared-variable pairs up to the budget.
-    pair_candidates: List[Tuple[int, Fraction, IntervalAtom, IntervalAtom,
-                                LinExpr]] = []
-    for a in atoms:
-        for b in atoms:
-            if a is b:
-                continue
-            difference = _atom_difference(a, b)
-            if difference.is_constant():
-                # Smaller shifts first: the telescoping rewrites between
-                # neighbouring offsets are the ones every derivation needs.
-                pair_candidates.append((0, abs(difference.const_term), a, b,
-                                        difference))
-            elif _share_variable(a, b):
-                pair_candidates.append((1, Fraction(0), a, b, difference))
-    pair_candidates.sort(key=lambda item: (item[0], item[1]))
-    pair_count = 0
-    for _priority, _gap, a, b, difference in pair_candidates:
-        if pair_count >= max_pair_rewrites:
-            break
-        constant = _pair_constant(context, difference, lower_bounds.get(a))
-        if constant is None:
-            continue
-        poly = Polynomial({atom_monomials[a]: 1, atom_monomials[b]: -1,
-                           unit: -constant})
-        reason = (lambda x=a, y=b, c=constant: f"{x} - {y} >= {c} under context")
+    # 3. transfers between pairs of atoms.
+    groups: Dict[Tuple, int] = {}
+    group_of: List[int] = []
+    members: List[List[int]] = []
+    offsets = []  # each atom's constant c, an int when integral
+    for index, atom in enumerate(atoms):
+        diff = atom.diff
+        group = groups.setdefault(diff.coeff_items, len(members))
+        if group == len(members):
+            members.append([])
+        members[group].append(index)
+        group_of.append(group)
+        offsets.append(int_if_integral(diff.const_term))
+
+    def emit(i: int, j: int, gap) -> None:
+        """Append ``A_i - A_j - c`` for the largest sound ``c``, given
+        ``gap = glb(D_i - D_j)``."""
+        if gap > 0:
+            # A positive extraction additionally needs D_A >= c.
+            lower = lower_bounds[i]
+            gap = 0 if lower is None or lower <= 0 else min(gap, lower)
+        constant = Fraction(gap)
+        terms = {monomials[i]: _ONE, monomials[j]: _MINUS_ONE}
+        if constant:
+            terms[unit] = -constant
+        poly = Polynomial._raw(terms)
+        reason = (lambda x=atoms[i], y=atoms[j], c=constant:
+                  f"{x} - {y} >= {c} under context")
         rewrites.append(RewriteFunction(poly, reason))
-        degree_one.append((poly, reason, a))
-        pair_count += 1
-    if len(_ATOM_REWRITE_CACHE) >= _ATOM_REWRITE_CACHE_LIMIT:
-        _ATOM_REWRITE_CACHE.clear()
-    _ATOM_REWRITE_CACHE[cache_key] = (rewrites, degree_one)
+        degree_one.append((poly, reason, atoms[i]))
+
+    # Constant pairs (the telescoping rewrites of Sec. 7.1) come first and
+    # smaller shifts before larger ones: the rewrites between neighbouring
+    # offsets are the ones every derivation needs.  (i, j) is unique, so
+    # the tuple sort is the stable sort by shift.
+    telescoping = []
+    for i, group in enumerate(group_of):
+        offset = offsets[i]
+        for j in members[group]:
+            if j != i:
+                gap = offset - offsets[j]
+                telescoping.append((abs(gap), i, j, gap))
+    telescoping.sort()
+    remaining = max_pair_rewrites
+    for _shift, i, j, gap in telescoping:
+        if remaining <= 0:
+            break
+        emit(i, j, gap)
+        remaining -= 1
+
+    # General pairs of atoms that share a variable, up to the budget.
+    linear = [LinExpr(dict(items)) for items in groups]
+    names = [frozenset(name for name, _ in items) for items in groups]
+    partners = [[j for j, other in enumerate(group_of) if other != group
+                 and not names[group].isdisjoint(names[other])]
+                for group in range(len(members))]
+    floors: Dict[Tuple[int, int], Optional[Fraction]] = {}
+    for i, j in ((i, j) for i, group in enumerate(group_of)
+                 for j in partners[group]):
+        if remaining <= 0:
+            break
+        key = (group_of[i], group_of[j])
+        if key in floors:
+            floor = floors[key]
+        else:
+            floor = floors[key] = context.greatest_lower_bound(
+                linear[key[0]] - linear[key[1]])
+        if floor is None:
+            continue
+        emit(i, j, floor + offsets[i] - offsets[j])
+        remaining -= 1
     return rewrites, degree_one
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.utils.rationals import Number, pretty_fraction, to_fraction
+from repro.utils.rationals import (Number, int_if_integral, pretty_fraction,
+                                   to_fraction)
 
 State = Mapping[str, Union[int, float, Fraction]]
 
@@ -206,7 +207,14 @@ class LinExpr:
         return self._hash
 
     def sort_key(self) -> Tuple:
-        return (self._coeffs, self._const)
+        """``(coeffs, const)`` with integral values as ints.
+
+        Orders exactly as the ``Fraction`` tuple does (the values are
+        equal), but the common integral comparisons stay in C.
+        """
+        return (tuple([(var, int_if_integral(coeff))
+                       for var, coeff in self._coeffs]),
+                int_if_integral(self._const))
 
     # -- rendering -----------------------------------------------------------
 

@@ -58,7 +58,7 @@ class IntervalAtom:
     Interned: equal differences yield the same atom object.
     """
 
-    __slots__ = ("_diff", "_hash")
+    __slots__ = ("_diff", "_hash", "_sort_key")
 
     def __new__(cls, diff: LinExpr) -> "IntervalAtom":
         atom = _ATOMS.get(diff)
@@ -71,6 +71,7 @@ class IntervalAtom:
         atom = object.__new__(cls)
         atom._diff = diff
         atom._hash = hash(("IntervalAtom", diff))
+        atom._sort_key = diff.sort_key()
         if len(_ATOMS) >= _INTERN_LIMIT:
             _ATOMS.clear()
         _ATOMS[diff] = atom
@@ -102,7 +103,7 @@ class IntervalAtom:
         return self._hash
 
     def sort_key(self) -> Tuple:
-        return self._diff.sort_key()
+        return self._sort_key
 
     def __repr__(self) -> str:
         return f"IntervalAtom({self._diff})"

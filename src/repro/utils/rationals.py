@@ -42,6 +42,16 @@ def to_fraction(value: Number) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+def int_if_integral(value: Fraction) -> Union[int, Fraction]:
+    """``value`` as an ``int`` when it is integral, else unchanged.
+
+    The two are equal and hash alike, so this changes no comparison's
+    outcome; ints just compare and subtract in C, which is what sort keys
+    and hot constant arithmetic want.
+    """
+    return value.numerator if value.denominator == 1 else value
+
+
 def snap_fraction(value: float, tolerance: float = SNAP_TOLERANCE,
                   max_denominator: int = MAX_DENOMINATOR) -> Fraction:
     """Rationalise a floating-point value to a nearby small-denominator fraction.

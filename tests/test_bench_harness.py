@@ -1,5 +1,7 @@
 """Tests for the Table-1 and figure harnesses (quick configurations)."""
 
+import gc
+
 import pytest
 
 from repro.bench.figures import (
@@ -183,6 +185,9 @@ class TestPerfSmoke:
 
         report = run_suite("linear", limit=1)
         assert report["programs"][0]["fm_queries"] >= 0
+        # The main pass freezes the collector's old objects per program
+        # and hands them back when it ends.
+        assert gc.get_freeze_count() == 0
         assert report["total_wall_seconds"] >= 0
         assert report["workers"] == 1
         assert report["suite_wall_parallel"] is None
@@ -398,6 +403,37 @@ class TestPerfCheck:
         # Same threshold and floor as the wall: +20%, or +30ms, passes.
         assert find_regressions(report(1.2), report(1.0)) == []
         assert find_regressions(report(0.06), report(0.03)) == []
+
+    def test_flags_query_count_regression(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # Twice the entailment queries at the same wall: the count is
+        # gated on its own, with the threshold and no floor.
+        def report(queries):
+            return {"programs": [{"name": "a", "wall_seconds": 1.0,
+                                  "fm_queries": queries},
+                                 {"name": "b", "wall_seconds": 0.01,
+                                  "fm_queries": 2}]}
+
+        problems = find_regressions(report(200), report(100))
+        assert problems == ["a: entailment queries 200 vs baseline 100 "
+                            "(+100%)"]
+        assert find_regressions(report(120), report(100)) == []
+        assert find_regressions(report(200), report(100),
+                                threshold=1.5) == []
+        assert find_regressions(report(None), report(100)) == []
+
+    def test_query_counts_are_gated_only_in_step_with_the_baseline(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # The entailment memo is process-wide: once the run's program
+        # order leaves the baseline's, later counts are not comparable.
+        baseline = {"programs": [{"name": name, "fm_queries": 10}
+                                 for name in ("a", "b", "c")]}
+        fresh = {"programs": [{"name": name, "fm_queries": 50}
+                              for name in ("a", "c")]}
+        assert find_regressions(fresh, baseline) == [
+            "a: entailment queries 50 vs baseline 10 (+400%)"]
 
     def test_escalation_pass_records_escalated_walls(self):
         from repro.bench.perfsmoke import run_suite

@@ -278,3 +278,27 @@ def test_times_monomial_equals_generic_product(e1, e2, e3):
     generic = poly * Polynomial.of_monomial(factor)
     assert fast == generic
     assert list(fast.term_items()) == list(generic.term_items())
+
+
+def _fraction_key(monomial: Monomial):
+    """The all-``Fraction`` key that the integral sort keys replace."""
+    return (monomial.degree(),
+            tuple(((atom.diff.coeff_items, atom.diff.const_term), power)
+                  for atom, power in monomial.factors))
+
+
+@given(st.lists(st.lists(lin_exprs, max_size=2), max_size=10))
+def test_integral_sort_keys_keep_the_fraction_order(factor_lists):
+    exprs = [expr for factors in factor_lists for expr in factors]
+    assert sorted(exprs, key=LinExpr.sort_key) \
+        == sorted(exprs, key=lambda e: (e.coeff_items, e.const_term))
+    monomials = [Monomial([atom_product(expr)[1] for expr in factors])
+                 for factors in factor_lists]
+    assert sorted(monomials, key=Monomial.sort_key) \
+        == sorted(monomials, key=_fraction_key)
+    for expr in exprs:
+        key = expr.sort_key()
+        assert key == (expr.coeff_items, expr.const_term)
+        values = [coeff for _, coeff in key[0]] + [key[1]]
+        assert all(type(value) is int for value in values
+                   if value.denominator == 1)

@@ -189,7 +189,6 @@ class TestCacheReset:
             "atom rewrites": (rewrite._ATOM_REWRITE_CACHE,
                               rewrite._ATOM_REWRITE_CACHE_LIMIT),
             "discards": (rewrite._DISCARD_CACHE, rewrite._DISCARD_CACHE_LIMIT),
-            "differences": (rewrite._DIFF_CACHE, rewrite._DIFF_CACHE_LIMIT),
             "atoms": (polynomials._ATOMS, polynomials._INTERN_LIMIT),
             "monomials": (polynomials._MONOMIALS, polynomials._INTERN_LIMIT),
             "products": (polynomials._PRODUCTS, polynomials._PRODUCT_LIMIT),
