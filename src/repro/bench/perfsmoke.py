@@ -858,11 +858,13 @@ def _sampler_pass(runs: int = SAMPLER_RUNS) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 #: Per-program times :func:`find_regressions` gates: the analysis wall, the
-#: derive layer (rule walk, rewrite generation, ``Q:Weaken`` rows), the
-#: LP-solve layer (assembly and the staged solves) and, with
-#: ``--escalation``, the wall of the run escalating from degree 1.
-GATED_TIMES = (("wall_seconds", "wall"), ("build_seconds", "build"),
-               ("solve_seconds", "solve"),
+#: prepare layer (transforms and abstract interpretation, entailment on
+#: ``LinExpr`` arithmetic), the derive layer (rule walk, rewrite
+#: generation, ``Q:Weaken`` rows), the LP-solve layer (assembly and the
+#: staged solves) and, with ``--escalation``, the wall of the run
+#: escalating from degree 1.
+GATED_TIMES = (("wall_seconds", "wall"), ("prepare_seconds", "prepare"),
+               ("build_seconds", "build"), ("solve_seconds", "solve"),
                ("escalated_wall_seconds", "escalated wall"))
 
 #: Per-program counts :func:`find_regressions` gates: the entailment queries

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 from repro.core.constraints import AffExpr, ConstraintSystem, LPVar
 from repro.utils.linear import LinExpr
 from repro.utils.polynomials import Monomial, Polynomial
-from repro.utils.rationals import Number, to_fraction
+from repro.utils.rationals import Coeff, Number, exact
 
 CoeffLike = Union[AffExpr, Number]
 
@@ -116,11 +116,11 @@ class PotentialAnnotation:
         return self.plus(other)
 
     def scale(self, factor: Number) -> "PotentialAnnotation":
-        frac = to_fraction(factor)
-        if frac == 0:
+        value = exact(factor)
+        if value == 0:
             return PotentialAnnotation.zero()
         return PotentialAnnotation(
-            {monomial: coeff * frac for monomial, coeff in self._terms.items()})
+            {monomial: coeff * value for monomial, coeff in self._terms.items()})
 
     def add_constant(self, amount: CoeffLike) -> "PotentialAnnotation":
         """``Q + q`` in the paper's notation: shift the constant coefficient."""
@@ -186,7 +186,7 @@ class PotentialAnnotation:
     def instantiate(self, assignment: Mapping[LPVar, Union[float, Fraction]]
                     ) -> Polynomial:
         """Evaluate the symbolic coefficients under an LP solution."""
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Coeff] = {}
         for monomial, coeff in self._terms.items():
             value = coeff.evaluate(assignment)
             if value != 0:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.core.derivation import DerivationStep, WeakenStep
 from repro.lang.errors import CertificateError
 from repro.logic.contexts import Context
 from repro.utils.polynomials import Polynomial
-from repro.utils.rationals import to_fraction
+from repro.utils.rationals import Coeff, exact
 
 
 @dataclass
@@ -56,7 +55,7 @@ class WeakenEvidence:
     context: Context
     stronger: Polynomial
     weaker: Polynomial
-    combination: List[Tuple[Fraction, Polynomial, str]]
+    combination: List[Tuple[Coeff, Polynomial, str]]
 
 
 @dataclass
@@ -80,7 +79,7 @@ class Certificate:
 def build_certificate(bound: Polynomial,
                       steps: Sequence[DerivationStep],
                       weakens: Sequence[WeakenStep],
-                      assignment: Mapping[LPVar, Fraction]) -> Certificate:
+                      assignment: Mapping[LPVar, Coeff]) -> Certificate:
     """Instantiate all symbolic annotations with the LP solution."""
     points = [AnnotatedPoint(step.node_id, step.rule, step.description,
                              step.pre.instantiate(assignment),
@@ -90,7 +89,7 @@ def build_certificate(bound: Polynomial,
     for weaken in weakens:
         combination = []
         for multiplier, rewrite in zip(weaken.multipliers, weaken.rewrites):
-            value = to_fraction(assignment[multiplier])
+            value = exact(assignment[multiplier])
             if value != 0:
                 combination.append((value, rewrite.polynomial, rewrite.reason))
         weakenings.append(WeakenEvidence(

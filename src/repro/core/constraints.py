@@ -8,7 +8,10 @@ of a linear program.  This module provides
 * :class:`AffExpr` -- affine expressions ``const + sum(coeff_i * var_i)`` with
   exact rational coefficients; annotation coefficients are such expressions so
   that rules like ``Q:PIf`` (weighted sums) or ``Q:Tick`` need no fresh
-  variables,
+  variables.  Coefficients are in the normal form of
+  :func:`~repro.utils.rationals.exact` -- an ``int`` when integral, a
+  ``Fraction`` otherwise -- which makes the common integral arithmetic and
+  the LP assembly's ``float()`` conversions cheap,
 * :class:`ConstraintSystem` -- collects equality and inequality constraints
   and hands them to the LP solver (:mod:`repro.core.solver`).
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.utils.rationals import Number, pretty_fraction, to_fraction
+from repro.utils.rationals import Coeff, Number, exact, pretty_fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,14 +50,14 @@ class AffExpr:
 
     def __init__(self, terms: Optional[Mapping[LPVar, Number]] = None,
                  const: Number = 0) -> None:
-        clean: Dict[LPVar, Fraction] = {}
+        clean: Dict[LPVar, Coeff] = {}
         if terms:
             for var, coeff in terms.items():
-                frac = to_fraction(coeff)
-                if frac != 0:
-                    clean[var] = frac
+                value = exact(coeff)
+                if value != 0:
+                    clean[var] = value
         self._terms = clean
-        self._const = to_fraction(const)
+        self._const = exact(const)
 
     # -- constructors -------------------------------------------------------
 
@@ -71,23 +74,24 @@ class AffExpr:
         return cls()
 
     @classmethod
-    def _raw(cls, terms: Dict[LPVar, Fraction], const: Fraction) -> "AffExpr":
+    def _raw(cls, terms: Dict[LPVar, Coeff], const: Coeff) -> "AffExpr":
         """Wrap an already-clean term dict without re-validating it.
 
-        Internal fast path: ``terms`` must map LPVars to non-zero Fractions
-        and is owned by the new expression (not copied).
+        Internal fast path: ``terms`` must map LPVars to non-zero
+        normal-form values, ``const`` must be in normal form, and ``terms``
+        is owned by the new expression (not copied).
         """
         self = object.__new__(cls)
         self._terms = terms
         self._const = const
         return self
 
-    def with_fresh_terms(self, fresh: Mapping[LPVar, Fraction]) -> "AffExpr":
+    def with_fresh_terms(self, fresh: Mapping[LPVar, Coeff]) -> "AffExpr":
         """``self`` plus entries on variables it does not mention.
 
         No accumulation happens: the caller guarantees that ``fresh`` maps
-        variables absent from ``self`` to non-zero Fractions (e.g. the fresh
-        multiplier columns of one ``Q:Weaken`` row).
+        variables absent from ``self`` to non-zero normal-form values (e.g.
+        the fresh multiplier columns of one ``Q:Weaken`` row).
         """
         if not fresh:
             return self
@@ -98,7 +102,7 @@ class AffExpr:
     # -- accessors -----------------------------------------------------------
 
     @property
-    def terms(self) -> Dict[LPVar, Fraction]:
+    def terms(self) -> Dict[LPVar, Coeff]:
         return dict(self._terms)
 
     def term_items(self):
@@ -106,7 +110,7 @@ class AffExpr:
         return self._terms.items()
 
     @property
-    def const(self) -> Fraction:
+    def const(self) -> Coeff:
         return self._const
 
     def is_constant(self) -> bool:
@@ -125,12 +129,15 @@ class AffExpr:
         terms = dict(self._terms)
         for var, coeff in other_expr._terms.items():
             value = terms.get(var)
-            value = coeff if value is None else value + coeff
+            if value is None:
+                terms[var] = coeff
+                continue
+            value = exact(value + coeff)
             if value == 0:
                 del terms[var]
             else:
                 terms[var] = value
-        return AffExpr._raw(terms, self._const + other_expr._const)
+        return AffExpr._raw(terms, exact(self._const + other_expr._const))
 
     __radd__ = __add__
 
@@ -145,23 +152,24 @@ class AffExpr:
         return _as_affexpr(other) + (-self)
 
     def __mul__(self, scalar: Number) -> "AffExpr":
-        factor = to_fraction(scalar)
+        factor = exact(scalar)
         if factor == 0:
-            return AffExpr._raw({}, Fraction(0))
-        return AffExpr._raw({var: coeff * factor for var, coeff in self._terms.items()},
-                            self._const * factor)
+            return AffExpr._raw({}, 0)
+        return AffExpr._raw({var: exact(coeff * factor)
+                             for var, coeff in self._terms.items()},
+                            exact(self._const * factor))
 
     __rmul__ = __mul__
 
-    def evaluate(self, assignment: Mapping[LPVar, Union[float, Fraction]]) -> Fraction:
+    def evaluate(self, assignment: Mapping[LPVar, Union[float, Fraction]]) -> Coeff:
         # LP solutions are sparse: zero values contribute nothing, so they
-        # skip the Fraction arithmetic.
+        # skip the exact arithmetic.
         total = self._const
         for var, coeff in self._terms.items():
             value = assignment[var]
             if value:
-                total += coeff * to_fraction(value)
-        return total
+                total += coeff * exact(value)
+        return exact(total)
 
     # -- rendering --------------------------------------------------------------
 

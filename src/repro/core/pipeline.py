@@ -387,7 +387,7 @@ class AnalysisPipeline:
         for monomial, coeff in initial.terms.items():
             degree = monomial.degree()
             if monomial.is_constant() or states is None:
-                weight = Fraction(1)
+                weight = 1
             else:
                 magnitudes = np.ones(self._WEIGHT_SAMPLES)
                 for atom, power in monomial.factors:

@@ -34,7 +34,6 @@ that justifies its non-negativity so certificates can be re-checked.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.contexts import Context
@@ -46,7 +45,7 @@ from repro.utils.polynomials import (
     Polynomial,
     clear_polynomial_caches,
 )
-from repro.utils.rationals import int_if_integral
+from repro.utils.rationals import Coeff, exact
 
 
 class RewriteFunction:
@@ -175,10 +174,6 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     return result
 
 
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-
-
 def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
                          max_pair_rewrites: int
                          ) -> Tuple[List[RewriteFunction],
@@ -208,12 +203,12 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
 
     # 2. constant extraction from single atoms (the lower bounds are reused
     #    by the pair rewrites below).
-    lower_bounds: List[Optional[Fraction]] = []
+    lower_bounds: List[Optional[Coeff]] = []
     for atom, monomial in zip(atoms, monomials):
         lower = context.greatest_lower_bound(atom.diff)
         lower_bounds.append(lower)
         if lower is not None and lower > 0:
-            poly = Polynomial._raw({monomial: _ONE, unit: -lower})
+            poly = Polynomial._raw({monomial: 1, unit: -lower})
             reason = (lambda a=atom, c=lower: f"{a} >= {c} under context")
             rewrites.append(RewriteFunction(poly, reason))
             degree_one.append((poly, reason, atom))
@@ -222,7 +217,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     groups: Dict[Tuple, int] = {}
     group_of: List[int] = []
     members: List[List[int]] = []
-    offsets = []  # each atom's constant c, an int when integral
+    offsets = []  # each atom's constant c
     for index, atom in enumerate(atoms):
         diff = atom.diff
         group = groups.setdefault(diff.coeff_items, len(members))
@@ -230,7 +225,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
             members.append([])
         members[group].append(index)
         group_of.append(group)
-        offsets.append(int_if_integral(diff.const_term))
+        offsets.append(diff.const_term)
 
     def emit(i: int, j: int, gap) -> None:
         """Append ``A_i - A_j - c`` for the largest sound ``c``, given
@@ -239,8 +234,8 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
             # A positive extraction additionally needs D_A >= c.
             lower = lower_bounds[i]
             gap = 0 if lower is None or lower <= 0 else min(gap, lower)
-        constant = Fraction(gap)
-        terms = {monomials[i]: _ONE, monomials[j]: _MINUS_ONE}
+        constant = exact(gap)
+        terms = {monomials[i]: 1, monomials[j]: -1}
         if constant:
             terms[unit] = -constant
         poly = Polynomial._raw(terms)
@@ -274,7 +269,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     partners = [[j for j, other in enumerate(group_of) if other != group
                  and not names[group].isdisjoint(names[other])]
                 for group in range(len(members))]
-    floors: Dict[Tuple[int, int], Optional[Fraction]] = {}
+    floors: Dict[Tuple[int, int], Optional[Coeff]] = {}
     for i, j in ((i, j) for i, group in enumerate(group_of)
                  for j in partners[group]):
         if remaining <= 0:

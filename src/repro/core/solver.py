@@ -15,7 +15,6 @@ HiGHS-based ``linprog``.  The module provides
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, csr_matrix, vstack
 
 from repro.core.constraints import AffExpr, ConstraintSystem, LPVar
-from repro.utils.rationals import snap_fraction
+from repro.utils.rationals import Coeff, exact, snap_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.lpsession import LPSession
@@ -33,15 +32,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class LPSolution:
     """A solved assignment of the LP variables."""
 
-    assignment: Dict[LPVar, Fraction]
+    assignment: Dict[LPVar, Coeff]
     raw_values: np.ndarray
     objective_values: List[float] = field(default_factory=list)
     iterations: int = 0
 
-    def value(self, var: LPVar) -> Fraction:
+    def value(self, var: LPVar) -> Coeff:
         return self.assignment[var]
 
-    def evaluate(self, expr: AffExpr) -> Fraction:
+    def evaluate(self, expr: AffExpr) -> Coeff:
         return expr.evaluate(self.assignment)
 
 
@@ -274,16 +273,16 @@ def stage_already_optimal(objective: AffExpr, values: np.ndarray) -> bool:
 
 
 def snap_assignment(variables: Sequence[LPVar],
-                    values: np.ndarray) -> Dict[LPVar, Fraction]:
+                    values: np.ndarray) -> Dict[LPVar, Coeff]:
     """Rationalise an LP solution; only its non-zero support is snapped.
 
     ``snap_fraction(0.0)`` is ``0``, so snapping just the support gives the
     same assignment as snapping every value.  Tiny negatives introduced by
     floating point on non-negative columns are clamped to 0.
     """
-    assignment = dict.fromkeys(variables, Fraction(0))
+    assignment = dict.fromkeys(variables, 0)
     for index in np.flatnonzero(values):
         var = variables[index]
-        value = snap_fraction(float(values[index]))
-        assignment[var] = Fraction(0) if var.nonneg and value < 0 else value
+        value = exact(snap_fraction(float(values[index])))
+        assignment[var] = 0 if var.nonneg and value < 0 else value
     return assignment

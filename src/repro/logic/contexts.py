@@ -16,13 +16,12 @@ Contexts support the operations the analysis needs:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import fourier_motzkin as fm
 from repro.logic.entailment import get_engine
 from repro.utils.linear import LinExpr
-from repro.utils.rationals import Number, to_fraction
+from repro.utils.rationals import Coeff, Number, exact
 
 
 class Context:
@@ -143,7 +142,7 @@ class Context:
             return True
         return all(self.entails_many(other._facts))
 
-    def greatest_lower_bound(self, expression: LinExpr) -> Optional[Fraction]:
+    def greatest_lower_bound(self, expression: LinExpr) -> Optional[Coeff]:
         """The largest ``c`` with ``self |= expression >= c``, or ``None``.
 
         ``None`` means "no finite greatest lower bound exists": either
@@ -212,8 +211,8 @@ class Context:
             return self
         try:
             projected = get_engine().assign(self._facts, var, rhs,
-                                            to_fraction(low_shift),
-                                            to_fraction(high_shift),
+                                            exact(low_shift),
+                                            exact(high_shift),
                                             key=self._fact_set)
         except fm.ConstraintCapExceeded:
             return self.havoc(var)

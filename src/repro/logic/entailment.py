@@ -62,6 +62,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
 from repro.logic import fourier_motzkin as fm
 from repro.logic.intervals import UNDECIDED, IntervalBox
 from repro.utils.linear import LinExpr
+from repro.utils.rationals import Coeff
 
 FactKey = FrozenSet[LinExpr]
 
@@ -80,7 +81,7 @@ _INFEASIBLE = object()
 #: Do not attempt the two-fact combination fast path on larger contexts.
 _PAIR_FAST_PATH_LIMIT = 16
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class EntailmentStats:
@@ -177,7 +178,7 @@ class DomainBackend:
         raise NotImplementedError
 
     def minimize(self, objective: LinExpr, facts: Sequence[LinExpr],
-                 key: FactKey) -> Fraction:
+                 key: FactKey) -> Coeff:
         """``inf { objective | facts }``; raises ``Infeasible``/``Unbounded``."""
         raise NotImplementedError
 
@@ -187,8 +188,8 @@ class DomainBackend:
         raise NotImplementedError
 
     def assign(self, facts: Sequence[LinExpr], key: FactKey, var: str,
-               rhs: LinExpr, low_shift: Fraction,
-               high_shift: Fraction) -> Tuple[LinExpr, ...]:
+               rhs: LinExpr, low_shift: Coeff,
+               high_shift: Coeff) -> Tuple[LinExpr, ...]:
         """Strongest postcondition of ``var := rhs + [low_shift, high_shift]``.
 
         Must return the *canonical minimal* constraint system of the
@@ -206,7 +207,7 @@ class DomainBackend:
 
 
 def assign_system(facts: Sequence[LinExpr], var: str, rhs: LinExpr,
-                  low_shift: Fraction, high_shift: Fraction
+                  low_shift: Coeff, high_shift: Coeff
                   ) -> Tuple[List[LinExpr], FrozenSet[str]]:
     """The renamed constraint system of an assignment, plus its keep set.
 
@@ -246,7 +247,7 @@ class FourierMotzkinBackend(DomainBackend):
         return True
 
     def minimize(self, objective: LinExpr, facts: Sequence[LinExpr],
-                 key: FactKey) -> Fraction:
+                 key: FactKey) -> Coeff:
         projected = self.engine.project(
             facts, frozenset(objective.variables()), key)
         self.engine.stats.eliminations += 1
@@ -258,8 +259,8 @@ class FourierMotzkinBackend(DomainBackend):
         return tuple(fm.eliminate_all(facts, keep=sorted(keep)))
 
     def assign(self, facts: Sequence[LinExpr], key: FactKey, var: str,
-               rhs: LinExpr, low_shift: Fraction,
-               high_shift: Fraction) -> Tuple[LinExpr, ...]:
+               rhs: LinExpr, low_shift: Coeff,
+               high_shift: Coeff) -> Tuple[LinExpr, ...]:
         """FM-project the renamed system, then canonicalise the output.
 
         The elimination itself is the classic pairwise one (with the
@@ -289,11 +290,11 @@ class EntailmentEngine:
         self.stats = EntailmentStats()
         self.evictions = 0
         self._entails_cache: Dict[Tuple[FactKey, LinExpr], bool] = {}
-        self._glb_cache: Dict[Tuple[FactKey, LinExpr], Optional[Fraction]] = {}
+        self._glb_cache: Dict[Tuple[FactKey, LinExpr], Optional[Coeff]] = {}
         self._feasible_cache: Dict[FactKey, bool] = {}
         self._projection_cache: Dict[Tuple[FactKey, FrozenSet[str]], object] = {}
-        self._assign_cache: Dict[Tuple[FactKey, str, LinExpr, Fraction,
-                                       Fraction], object] = {}
+        self._assign_cache: Dict[Tuple[FactKey, str, LinExpr, Coeff,
+                                       Coeff], object] = {}
         # Per-context interval boxes for the pre-filter tier.  Safe to keep
         # populated (and to share answers through the memo caches) with the
         # pre-filter off: a decided interval answer always equals the exact
@@ -301,7 +302,7 @@ class EntailmentEngine:
         self._box_cache: Dict[FactKey, IntervalBox] = {}
         # Per-context index for the single-fact fast path: canonical linear
         # part -> smallest canonical constant among the facts.
-        self._norm_index: Dict[FactKey, Dict[Tuple, Fraction]] = {}
+        self._norm_index: Dict[FactKey, Dict[Tuple, Coeff]] = {}
 
     # -- maintenance ------------------------------------------------------
 
@@ -434,7 +435,7 @@ class EntailmentEngine:
 
     def greatest_lower_bound(self, facts: Sequence[LinExpr],
                              expression: LinExpr,
-                             key: Optional[FactKey] = None) -> Optional[Fraction]:
+                             key: Optional[FactKey] = None) -> Optional[Coeff]:
         """Largest ``c`` with ``facts |= expression >= c`` (None if none)."""
         if key is None:
             key = frozenset(facts)
@@ -443,7 +444,7 @@ class EntailmentEngine:
         if cache_key in self._glb_cache:
             self.stats.memo_hits += 1
             return self._glb_cache[cache_key]
-        result: Optional[Fraction]
+        result: Optional[Coeff]
         fast_answered = True
         if expression.is_constant():
             # min over any non-empty feasible set is the constant itself; the
@@ -564,7 +565,7 @@ class EntailmentEngine:
         return lowest >= 0
 
     def _glb_cold(self, facts: Sequence[LinExpr], key: FactKey,
-                  expression: LinExpr) -> Optional[Fraction]:
+                  expression: LinExpr) -> Optional[Coeff]:
         try:
             return self.backend.minimize(expression, facts, key)
         except (fm.Infeasible, fm.Unbounded):
@@ -610,8 +611,8 @@ class EntailmentEngine:
                 if ok]
 
     def assign(self, facts: Sequence[LinExpr], var: str, rhs: LinExpr,
-               low_shift: Fraction = _ZERO,
-               high_shift: Fraction = _ZERO,
+               low_shift: Coeff = _ZERO,
+               high_shift: Coeff = _ZERO,
                key: Optional[FactKey] = None) -> Tuple[LinExpr, ...]:
         """Strongest postcondition of ``var := rhs + [low_shift, high_shift]``.
 
@@ -655,7 +656,7 @@ class EntailmentEngine:
                     return True
         return False
 
-    def _norm_index_for(self, key: FactKey) -> Dict[Tuple, Fraction]:
+    def _norm_index_for(self, key: FactKey) -> Dict[Tuple, Coeff]:
         index = self._norm_index.get(key)
         if index is None:
             index = {}
@@ -729,9 +730,9 @@ class EntailmentEngine:
         return False
 
     @staticmethod
-    def _solve_pair(qmap: Dict[str, Fraction], qvars: Iterable[str],
-                    m1: Dict[str, Fraction],
-                    m2: Dict[str, Fraction]) -> Optional[Tuple[Fraction, Fraction]]:
+    def _solve_pair(qmap: Dict[str, Coeff], qvars: Iterable[str],
+                    m1: Dict[str, Coeff],
+                    m2: Dict[str, Coeff]) -> Optional[Tuple[Coeff, Coeff]]:
         """Solve ``a*m1 + b*m2 = qmap`` over all query variables, a, b >= 0."""
         variables = list(qvars)
         pivot = None
@@ -748,8 +749,8 @@ class EntailmentEngine:
             return None
         v1, v2, det = pivot
         q1, q2 = qmap[v1], qmap[v2]
-        a = (q1 * m2.get(v2, _ZERO) - q2 * m2.get(v1, _ZERO)) / det
-        b = (m1.get(v1, _ZERO) * q2 - m1.get(v2, _ZERO) * q1) / det
+        a = Fraction(q1 * m2.get(v2, _ZERO) - q2 * m2.get(v1, _ZERO), det)
+        b = Fraction(m1.get(v1, _ZERO) * q2 - m1.get(v2, _ZERO) * q1, det)
         if a < 0 or b < 0:
             return None
         for var in variables:

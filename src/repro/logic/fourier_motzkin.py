@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.utils.linear import LinExpr
+from repro.utils.rationals import Coeff, exact
 
 
 class Infeasible(Exception):
@@ -86,8 +87,8 @@ def _dedupe(constraints: Iterable[LinExpr]) -> List[LinExpr]:
 
 def eliminate_variable(constraints: Sequence[LinExpr], var: str) -> List[LinExpr]:
     """Project the polyhedron ``{x | all e >= 0}`` onto the other variables."""
-    lowers: List[Tuple[LinExpr, Fraction]] = []   # coeff of var > 0: lower bounds
-    uppers: List[Tuple[LinExpr, Fraction]] = []   # coeff of var < 0: upper bounds
+    lowers: List[Tuple[LinExpr, Coeff]] = []   # coeff of var > 0: lower bounds
+    uppers: List[Tuple[LinExpr, Coeff]] = []   # coeff of var < 0: upper bounds
     others: List[LinExpr] = []
     for constraint in constraints:
         coeff = constraint.coefficient(var)
@@ -138,7 +139,7 @@ def is_feasible(constraints: Sequence[LinExpr]) -> bool:
     return True
 
 
-def minimize(objective: LinExpr, constraints: Sequence[LinExpr]) -> Fraction:
+def minimize(objective: LinExpr, constraints: Sequence[LinExpr]) -> Coeff:
     """Return ``inf { objective(x) | constraints }`` exactly.
 
     Raises :class:`Infeasible` if the constraint set is unsatisfiable and
@@ -157,12 +158,12 @@ def minimize(objective: LinExpr, constraints: Sequence[LinExpr]) -> Fraction:
     system.append(goal - objective)      # goal - objective >= 0
     system.append(objective - goal)      # objective - goal >= 0
     projected = eliminate_all(system, keep=(goal_var,))
-    lower_bounds: List[Fraction] = []
+    lower_bounds: List[Coeff] = []
     for constraint in projected:
         coeff = constraint.coefficient(goal_var)
         if coeff > 0:
             # coeff * goal + rest >= 0  =>  goal >= -rest / coeff
-            lower_bounds.append(-constraint.const_term / coeff)
+            lower_bounds.append(exact(Fraction(-constraint.const_term, coeff)))
         elif coeff == 0 and constraint.const_term < 0:
             raise Infeasible()
     if not lower_bounds:
@@ -170,7 +171,7 @@ def minimize(objective: LinExpr, constraints: Sequence[LinExpr]) -> Fraction:
     return max(lower_bounds)
 
 
-def maximize(objective: LinExpr, constraints: Sequence[LinExpr]) -> Fraction:
+def maximize(objective: LinExpr, constraints: Sequence[LinExpr]) -> Coeff:
     """Return ``sup { objective(x) | constraints }`` exactly (see :func:`minimize`)."""
     return -minimize(-objective, constraints)
 
@@ -187,7 +188,7 @@ def entails(constraints: Sequence[LinExpr], fact: LinExpr) -> bool:
 
 
 def greatest_lower_bound(constraints: Sequence[LinExpr],
-                         expression: LinExpr) -> Optional[Fraction]:
+                         expression: LinExpr) -> Optional[Coeff]:
     """The largest constant ``c`` with ``constraints |= expression >= c``.
 
     Returns ``None`` when no finite lower bound exists.  An unsatisfiable

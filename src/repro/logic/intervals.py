@@ -3,7 +3,7 @@
 Most entailment queries the analyzer asks on the paper's benchmarks are
 decidable from variable *bounds* alone (``x >= 1 && x <= n`` style
 contexts dominate).  This module derives an :class:`IntervalBox` -- one
-``[low, high]`` interval per variable, ``Fraction``-exact -- from a
+``[low, high]`` interval per variable, exact -- from a
 context's facts in a single linear scan, and offers ``entails`` /
 ``is_satisfiable`` / ``glb`` *deciders* that answer **only when bounds
 alone provably give the exact backend's answer** and return
@@ -42,8 +42,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.utils.linear import LinExpr
-
-_ZERO = Fraction(0)
+from repro.utils.rationals import Coeff, exact
 
 #: Sentinel returned by the deciders when bounds alone cannot answer.
 #: Distinct from ``None`` because ``glb`` legitimately *decides* ``None``
@@ -51,7 +50,7 @@ _ZERO = Fraction(0)
 UNDECIDED = object()
 
 #: One bound pair: ``None`` means unbounded in that direction.
-Bounds = Tuple[Optional[Fraction], Optional[Fraction]]
+Bounds = Tuple[Optional[Coeff], Optional[Coeff]]
 
 #: Bound-propagation rounds over the residual facts.  Chains longer than
 #: this stay undecided (sound); the cap keeps construction linear-ish.
@@ -87,7 +86,7 @@ class IntervalBox:
         """One linear scan: fold every single-variable fact into a bound."""
         bounds: Dict[str, Bounds] = {}
         residual = []
-        exact = True
+        all_single = True
         infeasible = False
         for fact in facts:
             items = fact.coeff_items
@@ -96,12 +95,12 @@ class IntervalBox:
                     infeasible = True
                 continue
             if len(items) != 1:
-                exact = False
+                all_single = False
                 residual.append(fact)
                 continue
             (var, coeff), = items
             # a*x + c >= 0  <=>  x >= -c/a (a > 0)  |  x <= -c/a (a < 0).
-            value = -fact.const_term / coeff
+            value = exact(Fraction(-fact.const_term, coeff))
             low, high = bounds.get(var, (None, None))
             if coeff > 0:
                 if low is None or value > low:
@@ -112,7 +111,7 @@ class IntervalBox:
             if low is not None and high is not None and low > high:
                 infeasible = True
             bounds[var] = (low, high)
-        box = cls(bounds, tuple(residual), exact, infeasible)
+        box = cls(bounds, tuple(residual), all_single, infeasible)
         if residual and not infeasible:
             box._propagate()
         return box
@@ -145,7 +144,7 @@ class IntervalBox:
                         rest += other_coeff * bound
                     if rest is None:
                         continue
-                    value = -rest / coeff
+                    value = exact(Fraction(-rest, coeff))
                     low, high = self.bounds.get(var, (None, None))
                     if coeff > 0:
                         if low is None or value > low:
@@ -162,7 +161,7 @@ class IntervalBox:
 
     # -- interval evaluation -----------------------------------------------
 
-    def minimum(self, expression: LinExpr) -> Optional[Fraction]:
+    def minimum(self, expression: LinExpr) -> Optional[Coeff]:
         """Exact minimum of ``expression`` over the box; ``None`` = -inf.
 
         For a linear function over a product of intervals the minimum is
@@ -177,23 +176,23 @@ class IntervalBox:
             if bound is None:
                 return None
             total += coeff * bound
-        return total
+        return exact(total)
 
     # -- witness points ----------------------------------------------------
 
-    def _corner(self, expression: LinExpr) -> Dict[str, Fraction]:
+    def _corner(self, expression: LinExpr) -> Dict[str, Coeff]:
         """The box corner attaining ``minimum(expression)``.
 
         Only valid when that minimum is finite (every needed bound
         exists); the caller checks.
         """
-        point: Dict[str, Fraction] = {}
+        point: Dict[str, Coeff] = {}
         for var, coeff in expression.coeff_items:
             low, high = self.bounds.get(var, (None, None))
             point[var] = low if coeff > 0 else high  # type: ignore[assignment]
         return point
 
-    def _witnessed(self, point: Dict[str, Fraction]) -> bool:
+    def _witnessed(self, point: Dict[str, Coeff]) -> bool:
         """Whether ``point`` extends to a genuine point of the region.
 
         Variables not pinned by ``point`` get an in-bounds value chosen
@@ -221,7 +220,7 @@ class IntervalBox:
                     elif high is not None and high < 0:
                         value = high
                     else:
-                        value = _ZERO
+                        value = 0
                     point[var] = value
                 total += coeff * value
             if total < 0:
@@ -253,14 +252,14 @@ class IntervalBox:
         for var in involved:
             if self.bounds.get(var, (None, None)) != (None, None):
                 return UNDECIDED
-        ratio: Optional[Fraction] = None
+        ratio: Optional[Coeff] = None
         matched = 0
         for var, coeff in expression.coeff_items:
             base = coeffs.get(var)
             if base is None:
                 return None  # free coordinate: unbounded below
             matched += 1
-            current = coeff / base
+            current = Fraction(coeff, base)
             if ratio is None:
                 ratio = current
             elif current != ratio:
@@ -273,7 +272,7 @@ class IntervalBox:
             return None
         if ratio < 0:
             return None  # the fact's own normal is a decreasing ray
-        return expression.const_term - ratio * fact.const_term
+        return exact(expression.const_term - ratio * fact.const_term)
 
     def _unbounded_below(self, expression: LinExpr) -> bool:
         """A coordinate recession ray along which ``expression`` decreases.

@@ -1,8 +1,9 @@
 """Exact rational polyhedra: the second abstract-domain backend.
 
 This module implements a convex-polyhedra abstract domain in the style of
-the Apron/PPL libraries, entirely over :class:`fractions.Fraction` so every
-answer is exact (no widening-by-rounding, no floating point anywhere):
+the Apron/PPL libraries, entirely in exact rational arithmetic (primitive
+integer vectors, :class:`fractions.Fraction` only inside a combination) so
+every answer is exact (no widening-by-rounding, no floating point anywhere):
 
 * a :class:`Polyhedron` keeps the classic *dual representation*: the
   constraint side (a conjunction of ``e >= 0`` facts) and the generator
@@ -33,25 +34,27 @@ that over randomized inequality systems.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from repro.logic import fourier_motzkin as fm
 from repro.utils.linear import LinExpr
+from repro.utils.rationals import Coeff, exact
 
-Vector = Tuple[Fraction, ...]
+#: Generator and constraint vectors.  Every stored vector is primitive, so
+#: its entries are ints; only intermediate combinations hold Fractions.
+Vector = Tuple[Coeff, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 # ---------------------------------------------------------------------------
 # Exact vector helpers
 # ---------------------------------------------------------------------------
 
-def _dot(a: Vector, b: Vector) -> Fraction:
+def _dot(a: Vector, b: Vector) -> Coeff:
     return sum((x * y for x, y in zip(a, b)), _ZERO)
 
 
@@ -59,22 +62,22 @@ def _unit(dim: int, index: int) -> Vector:
     return tuple(_ONE if i == index else _ZERO for i in range(dim))
 
 
-def _primitive(vector: Sequence[Fraction]) -> Vector:
+def _primitive(vector: Sequence[Coeff]) -> Vector:
     """Scale to the unique coprime-integer representative (sign preserved).
 
     Primitive vectors keep coefficients small across repeated combinations
     and make generator/constraint representatives canonical.
     """
-    denominator = reduce(lambda acc, value: acc * value.denominator // gcd(
-        acc, value.denominator), vector, 1)
-    integers = [int(value * denominator) for value in vector]
-    common = reduce(gcd, (abs(value) for value in integers), 0)
+    denominator = lcm(*(value.denominator for value in vector))
+    integers = [value.numerator * (denominator // value.denominator)
+                for value in vector]
+    common = gcd(*integers)
     if common in (0, 1):
-        return tuple(Fraction(value) for value in integers)
-    return tuple(Fraction(value // common) for value in integers)
+        return tuple(integers)
+    return tuple(value // common for value in integers)
 
 
-def _combine(a: Vector, ca: Fraction, b: Vector, cb: Fraction) -> Vector:
+def _combine(a: Vector, ca: Coeff, b: Vector, cb: Coeff) -> Vector:
     return tuple(ca * x + cb * y for x, y in zip(a, b))
 
 
@@ -111,16 +114,16 @@ def double_description(dim: int, constraints: Sequence[Vector]
             if pivot_value < 0:
                 pivot_line = tuple(-x for x in pivot_line)
                 pivot_value = -pivot_value
-            lines = [_primitive(_combine(line, _ONE,
-                                         pivot_line, -value / pivot_value))
+            lines = [_primitive(_combine(line, _ONE, pivot_line,
+                                         Fraction(-value, pivot_value)))
                      if value != 0 else line
                      for line, value in zip(lines, line_products)]
             new_rays: List[Vector] = []
             for ray, sat in zip(rays, saturated):
                 value = _dot(constraint, ray)
                 if value != 0:
-                    ray = _primitive(_combine(ray, _ONE,
-                                              pivot_line, -value / pivot_value))
+                    ray = _primitive(_combine(ray, _ONE, pivot_line,
+                                              Fraction(-value, pivot_value)))
                 new_rays.append(ray)
                 sat.add(index)
             # The pivot line saturates every earlier constraint (all lines
@@ -183,7 +186,7 @@ def _row_echelon(rows: List[Vector]) -> List[Vector]:
             continue
         work[pivot_row], work[chosen] = work[chosen], work[pivot_row]
         lead = work[pivot_row][column]
-        work[pivot_row] = [value / lead for value in work[pivot_row]]
+        work[pivot_row] = [Fraction(value, lead) for value in work[pivot_row]]
         for r in range(len(work)):
             if r != pivot_row and work[r][column] != 0:
                 factor = work[r][column]
@@ -203,7 +206,7 @@ def _reduce_modulo(vector: Vector, basis: Sequence[Vector]) -> Vector:
     for row in basis:
         pivot_col = next(i for i, value in enumerate(row) if value != 0)
         if values[pivot_col] != 0:
-            factor = values[pivot_col] / row[pivot_col]
+            factor = Fraction(values[pivot_col], row[pivot_col])
             values = [value - factor * pivot for value, pivot
                       in zip(values, row)]
     return _primitive(values)
@@ -278,7 +281,7 @@ class Polyhedron:
         row[-1] = expression.const_term
         return tuple(row)
 
-    def minimize(self, expression: LinExpr) -> Fraction:
+    def minimize(self, expression: LinExpr) -> Coeff:
         """``inf { expression(x) | x in self }`` exactly.
 
         Raises :class:`~repro.logic.fourier_motzkin.Infeasible` on the empty
@@ -296,18 +299,18 @@ class Polyhedron:
         for line in self.lines:
             if _dot(linear, line) != 0:
                 raise fm.Unbounded()
-        best: Optional[Fraction] = None
+        best: Optional[Coeff] = None
         for ray in self.rays:
             value = _dot(linear, ray)
             if ray[-1] == 0:
                 if value < 0:
                     raise fm.Unbounded()
                 continue
-            vertex_value = value / ray[-1] + expression.const_term
+            vertex_value = Fraction(value, ray[-1]) + expression.const_term
             if best is None or vertex_value < best:
                 best = vertex_value
         assert best is not None     # non-empty => at least one vertex
-        return best
+        return exact(best)
 
     def entails(self, fact: LinExpr) -> bool:
         """Whether every point satisfies ``fact >= 0``."""
@@ -318,7 +321,7 @@ class Polyhedron:
         except fm.Unbounded:
             return False
 
-    def contains(self, state: Dict[str, Fraction]) -> bool:
+    def contains(self, state: Dict[str, Coeff]) -> bool:
         """Membership of a concrete point (used by the differential tests)."""
         if self.is_empty():
             return False
@@ -350,8 +353,8 @@ class Polyhedron:
         return Polyhedron(tuple(names), lines,
                           [grow(ray) for ray in self.rays])
 
-    def assign(self, var: str, rhs: LinExpr, low_shift: Fraction = _ZERO,
-               high_shift: Fraction = _ZERO) -> "Polyhedron":
+    def assign(self, var: str, rhs: LinExpr, low_shift: Coeff = _ZERO,
+               high_shift: Coeff = _ZERO) -> "Polyhedron":
         """Image under ``var := rhs + [low_shift, high_shift]`` -- no FM.
 
         The affine substitution is applied to the generators directly (the
@@ -553,7 +556,7 @@ class PolyhedraBackend:
         return not self.polyhedron_for(facts, key).is_empty()
 
     def minimize(self, objective: LinExpr, facts: Sequence[LinExpr],
-                 key: FrozenSet[LinExpr]) -> Fraction:
+                 key: FrozenSet[LinExpr]) -> Coeff:
         return self.polyhedron_for(facts, key).minimize(objective)
 
     def project(self, facts: Sequence[LinExpr],
@@ -565,8 +568,8 @@ class PolyhedraBackend:
         return polyhedron.project(keep).constraints()
 
     def assign(self, facts: Sequence[LinExpr], key: FrozenSet[LinExpr],
-               var: str, rhs: LinExpr, low_shift: Fraction,
-               high_shift: Fraction) -> Tuple[LinExpr, ...]:
+               var: str, rhs: LinExpr, low_shift: Coeff,
+               high_shift: Coeff) -> Tuple[LinExpr, ...]:
         """Strongest postcondition from the generator side -- zero FM work.
 
         Reuses the context's cached polyhedron, so a fixpoint that assigns

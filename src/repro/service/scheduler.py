@@ -51,6 +51,7 @@ preempt a job, so ``timeout`` requires ``workers >= 1``.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import shutil
@@ -94,6 +95,11 @@ def _worker_init(domains: Sequence[str] = ()) -> None:
     so a pool serving ``polyhedra`` jobs pre-builds that backend's engine
     instead of silently warming the default one and paying the cold-start
     inside the first timed job.
+
+    Ends by freezing the collector's survivors: the imported modules and
+    the warm engines stay alive for the worker's whole life, so without
+    the freeze every full collection rescans them.  What later analyses
+    leave alive (intern tables, engine memos) is still tracked.
     """
     from repro.logic import entailment
 
@@ -112,6 +118,8 @@ def _worker_init(domains: Sequence[str] = ()) -> None:
             # Unknown domain: the job itself will report the structured
             # error; warm-up must not take the worker down.
             continue
+    gc.collect()
+    gc.freeze()
 
 
 def _execute_job(job: AnalysisJob, attempt: int = 1,

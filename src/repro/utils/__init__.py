@@ -1,7 +1,9 @@
 """Small numeric and symbolic utilities shared across the library.
 
-The analyzer works over exact rational arithmetic (``fractions.Fraction``)
-for everything except the final LP solve.  This package provides:
+The analyzer works over exact rational arithmetic for everything except the
+final LP solve: a coefficient is an ``int`` when integral and a
+``fractions.Fraction`` otherwise (:func:`~repro.utils.rationals.exact`).
+This package provides:
 
 * :mod:`repro.utils.rationals` -- conversions and sound rounding helpers,
 * :mod:`repro.utils.linear` -- linear expressions over program variables,
@@ -10,11 +12,13 @@ for everything except the final LP solve.  This package provides:
   *base functions* of the expected potential method.
 """
 
-from repro.utils.rationals import to_fraction, sound_floor_fraction, pretty_fraction
+from repro.utils.rationals import (exact, to_fraction, sound_floor_fraction,
+                                   pretty_fraction)
 from repro.utils.linear import LinExpr
 from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial, atom_product
 
 __all__ = [
+    "exact",
     "to_fraction",
     "sound_floor_fraction",
     "pretty_fraction",

@@ -1,8 +1,11 @@
 """Linear expressions over program variables with exact rational coefficients.
 
 A :class:`LinExpr` represents ``c0 + c1*x1 + ... + cn*xn`` where the ``xi``
-are program-variable names and all coefficients are ``Fraction``.  They are
-the building blocks of
+are program-variable names.  Coefficients are exact and in the normal form
+of :func:`~repro.utils.rationals.exact`: an ``int`` when integral, a
+``Fraction`` otherwise (never a float).  Every operator keeps that form,
+and division goes through ``Fraction`` so ``int / int`` never yields a
+float.  They are the building blocks of
 
 * logical contexts (conjunctions of ``LinExpr >= 0``),
 * interval atoms ``max(0, LinExpr)`` used as base functions, and
@@ -16,12 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.utils.rationals import (Number, int_if_integral, pretty_fraction,
-                                   to_fraction)
+from repro.utils.rationals import Coeff, Number, exact, pretty_fraction
 
 State = Mapping[str, Union[int, float, Fraction]]
-
-_ZERO = Fraction(0)
 
 
 class LinExpr:
@@ -31,15 +31,15 @@ class LinExpr:
 
     def __init__(self, coeffs: Optional[Mapping[str, Number]] = None,
                  const: Number = 0) -> None:
-        clean: Dict[str, Fraction] = {}
+        clean: Dict[str, Coeff] = {}
         if coeffs:
             for var, coeff in coeffs.items():
-                frac = to_fraction(coeff)
-                if frac != 0:
-                    clean[str(var)] = frac
-        self._coeffs: Tuple[Tuple[str, Fraction], ...] = tuple(sorted(clean.items()))
-        self._coeff_map: Dict[str, Fraction] = clean
-        self._const: Fraction = to_fraction(const)
+                value = exact(coeff)
+                if value != 0:
+                    clean[str(var)] = value
+        self._coeffs: Tuple[Tuple[str, Coeff], ...] = tuple(sorted(clean.items()))
+        self._coeff_map: Dict[str, Coeff] = clean
+        self._const: Coeff = exact(const)
         self._hash: Optional[int] = None
 
     # -- constructors -----------------------------------------------------
@@ -59,11 +59,12 @@ class LinExpr:
         return cls({}, 0)
 
     @classmethod
-    def _raw(cls, clean: Dict[str, Fraction], const: Fraction) -> "LinExpr":
+    def _raw(cls, clean: Dict[str, Coeff], const: Coeff) -> "LinExpr":
         """Wrap an already-clean coefficient dict without re-validating it.
 
         Internal fast path for the arithmetic operators: ``clean`` must map
-        variable names to non-zero Fractions and is owned by the result.
+        variable names to non-zero normal-form values, ``const`` must be in
+        normal form, and ``clean`` is owned by the result.
         """
         self = object.__new__(cls)
         self._coeffs = tuple(sorted(clean.items()))
@@ -75,21 +76,21 @@ class LinExpr:
     # -- accessors --------------------------------------------------------
 
     @property
-    def coeffs(self) -> Dict[str, Fraction]:
+    def coeffs(self) -> Dict[str, Coeff]:
         """A fresh dict of the variable coefficients (non-zero only)."""
         return dict(self._coeffs)
 
     @property
-    def coeff_items(self) -> Tuple[Tuple[str, Fraction], ...]:
+    def coeff_items(self) -> Tuple[Tuple[str, Coeff], ...]:
         """The coefficients as a sorted ``(var, coeff)`` tuple (no copy)."""
         return self._coeffs
 
     @property
-    def const_term(self) -> Fraction:
+    def const_term(self) -> Coeff:
         return self._const
 
-    def coefficient(self, var: str) -> Fraction:
-        return self._coeff_map.get(var, _ZERO)
+    def coefficient(self, var: str) -> Coeff:
+        return self._coeff_map.get(var, 0)
 
     def variables(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self._coeffs)
@@ -107,12 +108,15 @@ class LinExpr:
         coeffs = dict(self._coeff_map)
         for var, coeff in other_expr._coeffs:
             value = coeffs.get(var)
-            value = coeff if value is None else value + coeff
+            if value is None:
+                coeffs[var] = coeff
+                continue
+            value = exact(value + coeff)
             if value == 0:
                 del coeffs[var]
             else:
                 coeffs[var] = value
-        return LinExpr._raw(coeffs, self._const + other_expr._const)
+        return LinExpr._raw(coeffs, exact(self._const + other_expr._const))
 
     __radd__ = __add__
 
@@ -127,16 +131,17 @@ class LinExpr:
         return _as_linexpr(other) + (-self)
 
     def __mul__(self, scalar: Number) -> "LinExpr":
-        factor = to_fraction(scalar)
+        factor = exact(scalar)
         if factor == 0:
             return LinExpr.zero()
-        return LinExpr._raw({var: coeff * factor for var, coeff in self._coeffs},
-                            self._const * factor)
+        return LinExpr._raw({var: exact(coeff * factor)
+                             for var, coeff in self._coeffs},
+                            exact(self._const * factor))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Number) -> "LinExpr":
-        factor = to_fraction(scalar)
+        factor = exact(scalar)
         if factor == 0:
             raise ZeroDivisionError("division of a linear expression by zero")
         return self * (Fraction(1) / factor)
@@ -162,22 +167,22 @@ class LinExpr:
         return result
 
     def rename(self, mapping: Mapping[str, str]) -> "LinExpr":
-        coeffs: Dict[str, Fraction] = {}
+        coeffs: Dict[str, Coeff] = {}
         for var, coeff in self._coeffs:
             target = mapping.get(var, var)
-            coeffs[target] = coeffs.get(target, Fraction(0)) + coeff
+            coeffs[target] = coeffs.get(target, 0) + coeff
         return LinExpr(coeffs, self._const)
 
-    def evaluate(self, state: State) -> Fraction:
+    def evaluate(self, state: State) -> Coeff:
         """Evaluate under ``state``; missing variables raise ``KeyError``."""
         total = self._const
         for var, coeff in self._coeffs:
-            total += coeff * to_fraction(state[var])
-        return total
+            total += coeff * exact(state[var])
+        return exact(total)
 
     # -- normalisation -----------------------------------------------------
 
-    def normalised(self) -> Tuple[Fraction, "LinExpr"]:
+    def normalised(self) -> Tuple[Coeff, "LinExpr"]:
         """Split into ``(scale, canonical)`` with ``scale > 0``.
 
         Two expressions that are positive multiples of each other share the
@@ -186,7 +191,7 @@ class LinExpr:
         scale 1 and themselves.
         """
         if not self._coeffs:
-            return Fraction(1), self
+            return 1, self
         lead = self._coeffs[0][1]
         scale = abs(lead)
         if scale == 1:
@@ -207,14 +212,9 @@ class LinExpr:
         return self._hash
 
     def sort_key(self) -> Tuple:
-        """``(coeffs, const)`` with integral values as ints.
-
-        Orders exactly as the ``Fraction`` tuple does (the values are
-        equal), but the common integral comparisons stay in C.
-        """
-        return (tuple([(var, int_if_integral(coeff))
-                       for var, coeff in self._coeffs]),
-                int_if_integral(self._const))
+        """``(coeffs, const)``: the normal form keeps the common integral
+        comparisons in C."""
+        return (self._coeffs, self._const)
 
     # -- rendering -----------------------------------------------------------
 

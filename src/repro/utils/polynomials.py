@@ -11,8 +11,10 @@ expression ``D`` over program variables.  The paper's interval notation
 ``|[L, U]|`` stands for ``max(0, U - L)``; we store the difference ``D`` in a
 canonical form and reconstruct the interval notation for printing.
 
-:class:`Polynomial` is a finite linear combination of monomials with rational
-coefficients.  Polynomials are the concrete potential functions (after the LP
+:class:`Polynomial` is a finite linear combination of monomials with exact
+rational coefficients, in the normal form of
+:func:`~repro.utils.rationals.exact` (``int`` when integral, ``Fraction``
+otherwise).  Polynomials are the concrete potential functions (after the LP
 has been solved), the rewrite functions used in ``Q:Weaken``, and the symbolic
 cost of ``tick`` commands with expression arguments.
 
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.utils.linear import LinExpr, State
-from repro.utils.rationals import Number, pretty_fraction, to_fraction
+from repro.utils.rationals import Coeff, Number, exact, pretty_fraction
 
 #: Intern tables and the monomial product/substitution memos.  Each is
 #: emptied when full (a cleared table costs identity hits, not correctness).
@@ -38,7 +40,7 @@ _ATOMS: Dict[LinExpr, "IntervalAtom"] = {}
 _MONOMIALS: Dict[FrozenSet[Tuple["IntervalAtom", int]], "Monomial"] = {}
 _PRODUCTS: Dict[Tuple["Monomial", "Monomial"], "Monomial"] = {}
 _SUBSTITUTIONS: Dict[Tuple["Monomial", str, LinExpr],
-                     Tuple[Fraction, "Monomial"]] = {}
+                     Tuple[Coeff, "Monomial"]] = {}
 _INTERN_LIMIT = 1 << 16
 _PRODUCT_LIMIT = 1 << 17
 
@@ -85,9 +87,9 @@ class IntervalAtom:
         """The linear expression ``D`` such that the atom denotes ``max(0, D)``."""
         return self._diff
 
-    def evaluate(self, state: State) -> Fraction:
+    def evaluate(self, state: State) -> Coeff:
         value = self._diff.evaluate(state)
-        return value if value > 0 else Fraction(0)
+        return value if value > 0 else 0
 
     def variables(self) -> Tuple[str, ...]:
         return self._diff.variables()
@@ -109,16 +111,15 @@ class IntervalAtom:
         return f"IntervalAtom({self._diff})"
 
     def __str__(self) -> str:
-        lower_terms: Dict[str, Fraction] = {}
-        upper_terms: Dict[str, Fraction] = {}
+        lower_terms: Dict[str, Coeff] = {}
+        upper_terms: Dict[str, Coeff] = {}
         for var, coeff in self._diff.coeffs.items():
             if coeff > 0:
                 upper_terms[var] = coeff
             else:
                 lower_terms[var] = -coeff
         const = self._diff.const_term
-        lower_const = Fraction(0)
-        upper_const = Fraction(0)
+        lower_const = upper_const = 0
         if const >= 0:
             upper_const = const
         else:
@@ -128,7 +129,7 @@ class IntervalAtom:
         return f"|[{lower}, {upper}]|"
 
 
-AtomTerm = Tuple[Fraction, Optional[IntervalAtom]]
+AtomTerm = Tuple[Coeff, Optional[IntervalAtom]]
 
 
 def atom_product(diff: LinExpr) -> AtomTerm:
@@ -141,7 +142,7 @@ def atom_product(diff: LinExpr) -> AtomTerm:
     """
     if diff.is_constant():
         value = diff.const_term
-        return (value if value > 0 else Fraction(0), None)
+        return (value if value > 0 else 0, None)
     scale, canonical = diff.normalised()
     return scale, IntervalAtom(canonical)
 
@@ -223,16 +224,16 @@ class Monomial:
             _PRODUCTS[key] = product
         return product
 
-    def evaluate(self, state: State) -> Fraction:
-        result = Fraction(1)
+    def evaluate(self, state: State) -> Coeff:
+        result = 1
         for atom, power in self._factors:
             value = atom.evaluate(state)
             if value == 0:
-                return Fraction(0)
+                return 0
             result *= value ** power
-        return result
+        return exact(result)
 
-    def substitute(self, var: str, replacement: LinExpr) -> Tuple[Fraction, "Monomial"]:
+    def substitute(self, var: str, replacement: LinExpr) -> Tuple[Coeff, "Monomial"]:
         """Exact substitution ``m[replacement / var]`` as ``coeff * monomial``.
 
         Substituting a linear expression into each ``max(0, D)`` factor yields
@@ -250,8 +251,8 @@ class Monomial:
             _SUBSTITUTIONS[key] = result
         return result
 
-    def _substitute(self, var: str, replacement: LinExpr) -> Tuple[Fraction, "Monomial"]:
-        coeff = Fraction(1)
+    def _substitute(self, var: str, replacement: LinExpr) -> Tuple[Coeff, "Monomial"]:
+        coeff = 1
         counts: Dict[IntervalAtom, int] = {}
         touched = False
         for atom, power in self._factors:
@@ -261,9 +262,9 @@ class Monomial:
             touched = True
             new_diff = atom.diff.substitute(var, replacement)
             scale, new_atom = atom_product(new_diff)
-            coeff *= scale ** power
+            coeff = exact(coeff * scale ** power)
             if coeff == 0:
-                return Fraction(0), Monomial.one()
+                return 0, Monomial.one()
             if new_atom is not None:
                 counts[new_atom] = counts.get(new_atom, 0) + power
         if not touched:
@@ -333,18 +334,19 @@ class Polynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Number]] = None) -> None:
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, Coeff] = {}
         if terms:
             for monomial, coeff in terms.items():
-                frac = to_fraction(coeff)
-                if frac != 0:
-                    clean[monomial] = frac
+                value = exact(coeff)
+                if value != 0:
+                    clean[monomial] = value
         self._terms = clean
         self._hash: Optional[int] = None
 
     @classmethod
-    def _raw(cls, terms: Dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap an already-clean term dict (non-zero Fractions, owned)."""
+    def _raw(cls, terms: Dict[Monomial, Coeff]) -> "Polynomial":
+        """Wrap an already-clean term dict (non-zero normal-form values,
+        owned)."""
         self = object.__new__(cls)
         self._terms = terms
         self._hash = None
@@ -368,23 +370,23 @@ class Polynomial:
     def interval(cls, diff: LinExpr, coeff: Number = 1) -> "Polynomial":
         """The polynomial ``coeff * max(0, diff)``."""
         scale, atom = atom_product(diff)
-        coeff = to_fraction(coeff)
+        value = exact(coeff) * scale
         if atom is None:
-            return cls.constant(coeff * scale)
-        return cls({Monomial.of_atom(atom): coeff * scale})
+            return cls.constant(value)
+        return cls({Monomial.of_atom(atom): value})
 
     # -- accessors -------------------------------------------------------------
 
     @property
-    def terms(self) -> Dict[Monomial, Fraction]:
+    def terms(self) -> Dict[Monomial, Coeff]:
         return dict(self._terms)
 
     def term_items(self):
         """Items view of the term dict (no copy; do not mutate)."""
         return self._terms.items()
 
-    def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._terms.get(monomial, Fraction(0))
+    def coefficient(self, monomial: Monomial) -> Coeff:
+        return self._terms.get(monomial, 0)
 
     def monomials(self) -> Tuple[Monomial, ...]:
         return tuple(sorted(self._terms, key=lambda m: m.sort_key()))
@@ -400,8 +402,8 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(monomial.is_constant() for monomial in self._terms)
 
-    def constant_value(self) -> Fraction:
-        return self._terms.get(Monomial.one(), Fraction(0))
+    def constant_value(self) -> Coeff:
+        return self._terms.get(Monomial.one(), 0)
 
     def variables(self) -> Tuple[str, ...]:
         names = set()
@@ -415,7 +417,7 @@ class Polynomial:
         other_poly = _as_polynomial(other)
         terms = dict(self._terms)
         for monomial, coeff in other_poly._terms.items():
-            terms[monomial] = terms.get(monomial, Fraction(0)) + coeff
+            terms[monomial] = terms.get(monomial, 0) + coeff
         return Polynomial(terms)
 
     __radd__ = __add__
@@ -431,13 +433,13 @@ class Polynomial:
 
     def __mul__(self, other: Union["Polynomial", Number]) -> "Polynomial":
         if isinstance(other, Polynomial):
-            terms: Dict[Monomial, Fraction] = {}
+            terms: Dict[Monomial, Coeff] = {}
             for mono_a, coeff_a in self._terms.items():
                 for mono_b, coeff_b in other._terms.items():
                     product = mono_a.multiply(mono_b)
-                    terms[product] = terms.get(product, Fraction(0)) + coeff_a * coeff_b
+                    terms[product] = terms.get(product, 0) + coeff_a * coeff_b
             return Polynomial(terms)
-        factor = to_fraction(other)
+        factor = exact(other)
         return Polynomial({monomial: coeff * factor for monomial, coeff in self._terms.items()})
 
     __rmul__ = __mul__
@@ -452,19 +454,19 @@ class Polynomial:
         return self * factor
 
     def substitute(self, var: str, replacement: LinExpr) -> "Polynomial":
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Coeff] = {}
         for monomial, coeff in self._terms.items():
             scale, new_monomial = monomial.substitute(var, replacement)
             value = coeff * scale
             if value != 0:
-                terms[new_monomial] = terms.get(new_monomial, Fraction(0)) + value
+                terms[new_monomial] = terms.get(new_monomial, 0) + value
         return Polynomial(terms)
 
-    def evaluate(self, state: State) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, state: State) -> Coeff:
+        total = 0
         for monomial, coeff in self._terms.items():
             total += coeff * monomial.evaluate(state)
-        return total
+        return exact(total)
 
     # -- comparisons / rendering ------------------------------------------------
 

@@ -1,9 +1,18 @@
 """Helpers for exact rational arithmetic and sound float/rational conversion.
 
-The derivation system works with :class:`fractions.Fraction` coefficients so
-that probability-weighted sums (e.g. ``1/3`` and ``2/3`` in ``Q:PIf``) stay
-exact.  Only the final linear program is handed to a floating-point solver;
-the helpers here convert back and forth while keeping the analysis sound
+The derivation system works with exact rational coefficients so that
+probability-weighted sums (e.g. ``1/3`` and ``2/3`` in ``Q:PIf``) stay
+exact.  Coefficients have one normal form, produced by :func:`exact`: an
+``int`` when the value is integral and a :class:`fractions.Fraction` only
+when it is not (most coefficients are integers, and ``int`` arithmetic runs
+in C).  The two compare and hash alike, so the normal form changes no
+comparison, dict key or ordering.  The one hazard is division: ``int / int``
+is a float, so every division of coefficient values is written
+``Fraction(a, b)`` or ``Fraction(a) / b`` (and normalised with :func:`exact`
+where the result is stored).
+
+Only the final linear program is handed to a floating-point solver; the
+helpers here convert back and forth while keeping the analysis sound
 (rounding *down* where an under-approximation is required, rationalising for
 display where a pretty constant is wanted).
 """
@@ -14,6 +23,8 @@ from fractions import Fraction
 from typing import Union
 
 Number = Union[int, float, Fraction, str]
+#: An exact value in the coefficient normal form (see :func:`exact`).
+Coeff = Union[int, Fraction]
 
 #: Tolerance used when snapping floating-point LP results to nearby rationals.
 SNAP_TOLERANCE = 1e-5
@@ -42,14 +53,26 @@ def to_fraction(value: Number) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def int_if_integral(value: Fraction) -> Union[int, Fraction]:
-    """``value`` as an ``int`` when it is integral, else unchanged.
+def exact(value: Number) -> Coeff:
+    """``value`` in the coefficient normal form: ``int`` when integral,
+    else :class:`Fraction`.
 
-    The two are equal and hash alike, so this changes no comparison's
-    outcome; ints just compare and subtract in C, which is what sort keys
-    and hot constant arithmetic want.
+    Accepts what :func:`to_fraction` accepts (ints, fractions, strings like
+    ``"3/4"``, floats converted exactly) and, like it, rejects ``bool``.
+    Also the normaliser for arithmetic results: the sum or product of two
+    normal-form values can be an integral ``Fraction`` (``1/2 + 1/2``).
     """
-    return value.numerator if value.denominator == 1 else value
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, bool):
+        raise TypeError("booleans are not valid numeric coefficients")
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, (str, float)):
+        return exact(Fraction(value))
+    raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
 def snap_fraction(value: float, tolerance: float = SNAP_TOLERANCE,
@@ -90,6 +113,8 @@ def pretty_fraction(value: Fraction, digits: int = 6) -> str:
     print as decimals when exact in ``digits`` digits (``0.2``), otherwise a
     rounded decimal (``0.666667``) is used -- matching Table 1's style.
     """
+    if type(value) is int:
+        return str(value)
     frac = Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)

@@ -389,6 +389,21 @@ class TestPerfCheck:
         assert find_regressions(report(1.0, 0.6), report(1.0, 0.5)) == []
         assert find_regressions(report(1.0, 0.06), report(1.0, 0.03)) == []
 
+    def test_flags_prepare_regression_under_a_steady_wall(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # Abstract interpretation doubled while a faster derive hid it.
+        def report(prepare, build):
+            return {"programs": [{"name": "a", "wall_seconds": 2.0,
+                                  "prepare_seconds": prepare,
+                                  "build_seconds": build}]}
+
+        problems = find_regressions(report(0.4, 0.8), report(0.2, 1.0))
+        assert problems == ["a: prepare 0.400s vs baseline 0.200s (+100%)"]
+        # Same threshold and floor as the wall: +20%, or +30ms, passes.
+        assert find_regressions(report(0.6, 1.0), report(0.5, 1.0)) == []
+        assert find_regressions(report(0.06, 1.0), report(0.03, 1.0)) == []
+
     def test_flags_escalated_wall_regression(self):
         from repro.bench.perfsmoke import find_regressions
 

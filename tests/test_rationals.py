@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.rationals import (
+    exact,
     is_close_fraction,
     pretty_fraction,
     snap_fraction,
@@ -34,6 +35,33 @@ class TestToFraction:
     def test_other_type_rejected(self):
         with pytest.raises(TypeError):
             to_fraction([1, 2])
+
+
+class TestExact:
+    def test_int_stays_int(self):
+        assert type(exact(3)) is int and exact(3) == 3
+
+    def test_integral_fraction_becomes_int(self):
+        value = exact(Fraction(6, 3))
+        assert type(value) is int and value == 2
+
+    def test_proper_fraction_stays_fraction(self):
+        assert exact(Fraction(2, 7)) == Fraction(2, 7)
+        assert type(exact(Fraction(2, 7))) is Fraction
+
+    def test_string_and_float(self):
+        assert exact("3/4") == Fraction(3, 4)
+        assert type(exact("8/4")) is int
+        assert exact(0.5) == Fraction(1, 2)
+        assert type(exact(2.0)) is int
+
+    def test_bool_rejected(self):
+        with pytest.raises(TypeError):
+            exact(True)
+
+    def test_other_type_rejected(self):
+        with pytest.raises(TypeError):
+            exact([1, 2])
 
 
 class TestSnapFraction:

@@ -7,6 +7,8 @@ and entailment-engine state isolation across worker processes.
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -164,6 +166,23 @@ class TestWorkerIsolation:
         assert len(pids) >= 1
         # Every worker ran real queries against its own engine.
         assert all(r.engine["queries"] > 0 for r in results)
+
+    def test_worker_init_freezes_the_warm_heap(self):
+        # In a fresh interpreter, so this process's collector is untouched.
+        code = ("import gc\n"
+                "from repro.service.scheduler import _worker_init\n"
+                "_worker_init()\n"
+                "print(gc.get_freeze_count())\n")
+        # src/repro/service/scheduler.py -> src
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(scheduler_module.__file__))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.strip()) > 0
 
     def test_inline_jobs_run_in_this_process(self):
         results = run_jobs(_suite_jobs(1), workers=0)
