@@ -13,5 +13,8 @@ setup(
                 "(reproduction of PLDI 2018 'Bounded Expectations')",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
+    # The LP solver calls SciPy's private HiGHS binding
+    # (scipy.optimize._highspy._core); tests/test_highs_binding.py checks
+    # every name it uses on this range.
+    install_requires=["numpy", "scipy>=1.17.1,<1.18"],
 )

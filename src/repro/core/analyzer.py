@@ -103,7 +103,8 @@ class AnalysisResult:
     message: str = ""
     #: ``""`` on success; ``"no-bound"`` when the LP is infeasible for every
     #: attempted degree; ``"analysis-error"`` when the derivation could not
-    #: even be set up (lowering failures, unsupported constructs, ...);
+    #: even be set up (lowering failures, unsupported constructs, ...) or
+    #: HiGHS ended an LP with neither an optimum nor an infeasibility proof;
     #: ``"resource-limit"`` when the backend ran out of resources (the
     #: Fourier-Motzkin constraint cap) -- a failure of the *backend*, not
     #: the program, so the service layer may retry under another domain.

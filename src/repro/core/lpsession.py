@@ -7,10 +7,9 @@ builds one :class:`~repro.core.solver.AssembledSystem` and one
 :class:`LPSession` per degree attempt; the session survives the attempt's
 objective stages.
 
-Every solve calls SciPy's ``linprog`` (HiGHS) on the matrices served by
-:meth:`~repro.core.solver.AssembledSystem.matrices`.  The measured win of
-the session is that method's stage-row cache: each stage appends one row to
-a cached block instead of re-stacking every earlier stage row.
+Every solve inserts the session's stage rows into the attempt's column-wise
+arrays (:meth:`~repro.core.solver.AssembledSystem.model`) and solves that
+model cold in a fresh HiGHS instance; warm starts were measured and dropped.
 """
 
 from __future__ import annotations
@@ -48,7 +47,9 @@ class LPSession:
         self._stage_rows: List[Tuple[AffExpr, float]] = []
 
     def solve(self, objective: Optional[AffExpr]) -> Optional[np.ndarray]:
-        """Minimise ``objective`` subject to base + stage rows; None if infeasible."""
+        """Minimise ``objective`` subject to base + stage rows; None if
+        infeasible (other failures raise
+        :class:`~repro.core.solver.SolverError`)."""
         self.solves += 1
         return self.assembled.solve(objective, self._stage_rows)
 

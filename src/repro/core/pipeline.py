@@ -14,9 +14,11 @@ One analysis runs these stages:
 
 Degree escalation is one rule: when the degree-``d`` LP is infeasible,
 stages 2 and 3 run again from scratch at ``d+1``.  Only the prepare products
-are kept.  A cold ``max_degree=2`` run derives degree 2 directly, and an
-escalating run's degree-2 attempt builds exactly the same system, so both
-give the same bound and certificate.  The rewrite functions of
+are kept.  Any other solver outcome (unbounded, a limit, a model error) ends
+the run as an ``analysis-error``, which is neither escalated nor cached.  A
+cold ``max_degree=2`` run derives degree 2 directly, and an escalating run's
+degree-2 attempt builds exactly the same system, so both give the same bound
+and certificate.  The rewrite functions of
 :mod:`repro.core.rewrite` are memoised across attempts, which is what keeps
 a rebuild cheap.  Per-stage wall times and LP sizes are recorded in
 :class:`PipelineStats` and threaded through
@@ -38,7 +40,8 @@ from repro.core.certificates import build_certificate
 from repro.core.constraints import AffExpr, ConstraintSystem
 from repro.core.derivation import DerivationBuilder
 from repro.core.lpsession import LPSession
-from repro.core.solver import AssembledSystem, IterativeMinimizer, LPSolution
+from repro.core.solver import (AssembledSystem, IterativeMinimizer, LPSolution,
+                               SolverError)
 from repro.core.specs import ProcedureSpec, SpecContext
 from repro.lang import ast
 from repro.lang.errors import AnalysisError
@@ -222,12 +225,23 @@ class AnalysisPipeline:
         objectives = self._objectives(derived.initial)
         session = LPSession(AssembledSystem(system))
         solver = IterativeMinimizer(system, tolerance=self.config.lp_tolerance)
-        solution = solver.solve(objectives, session=session)
+        failure: Optional[SolverError] = None
+        try:
+            solution = solver.solve(objectives, session=session)
+        except SolverError as exc:
+            solution, failure = None, exc
         elapsed = time.perf_counter() - started
         stage.solve_seconds = elapsed
-        stage.feasible = solution is not None
         stage.cold_solves = session.solves
         stage.skipped_solves = session.skipped
+        if failure is not None:
+            # Not a verdict on the program: neither cached nor escalated.
+            return AnalysisResult(
+                False, None, degree, elapsed,
+                system.num_variables, system.num_constraints, None,
+                f"{failure} at degree {degree}",
+                failure_kind="analysis-error")
+        stage.feasible = solution is not None
         if solution is None:
             return AnalysisResult(
                 False, None, degree, elapsed,
@@ -318,7 +332,7 @@ class AnalysisPipeline:
                     False, None, degree, 0.0, 0, 0, None,
                     str(exc) or "constraint cap exceeded",
                     failure_kind="resource-limit"))
-            if result.success:
+            if result.failure_kind != "no-bound":
                 return finalise(result)
             last_failure = result
         assert last_failure is not None

@@ -1,8 +1,13 @@
 """LP solving back end (paper Sec. 5, "Solving the constraints").
 
-Absynth feeds its constraints to CoinOr's CLP; here we use SciPy's HiGGS/
-HiGHS-based ``linprog``.  The module provides
+Absynth feeds its constraints to CoinOr's CLP; here every LP goes straight
+to HiGHS through the binding SciPy bundles (``scipy.optimize._highspy``).
+That module is private, so ``setup.py`` pins the SciPy range it is checked
+on and ``tests/test_highs_binding.py`` checks every name used here.  The
+module provides
 
+* :class:`AssembledSystem` -- a constraint system as column-wise (CSC)
+  arrays, built once per degree attempt, and the solve of one LP over it,
 * :func:`solve_lp` -- solve one LP (minimise a linear objective subject to the
   collected equalities/inequalities),
 * :class:`IterativeMinimizer` -- the paper's iterative objective scheme:
@@ -15,11 +20,10 @@ HiGHS-based ``linprog``.  The module provides
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix, csr_matrix, vstack
+from scipy.optimize._highspy import _core as highs
 
 from repro.core.constraints import AffExpr, ConstraintSystem, LPVar
 from repro.utils.rationals import Coeff, exact, snap_fraction
@@ -45,126 +49,104 @@ class LPSolution:
 
 
 class SolverError(Exception):
-    """Raised when the LP solver fails unexpectedly (not mere infeasibility)."""
+    """HiGHS ended an LP with a status other than optimal or infeasible.
 
-
-def _rows_to_csr(rows: Sequence[AffExpr], num_vars: int,
-                 sign: float = 1.0) -> Optional[csr_matrix]:
-    """Assemble ``sign * rows`` as one CSR matrix via COO triplet arrays.
-
-    Vectorised replacement for entry-by-entry ``lil_matrix`` writes: the
-    (row, col, value) triplets are materialised once with ``np.fromiter`` and
-    handed to ``coo_matrix`` in a single call.
+    ``status`` is HiGHS's name for it (e.g. ``"Unbounded"``,
+    ``"Iteration limit reached"``).  This is a failure of the solve, not a
+    verdict on the program, so the pipeline reports it as an
+    ``analysis-error`` instead of ``no-bound``.
     """
-    if not rows:
-        return None
-    triplets = [(row_index, var.index, coeff)
-                for row_index, expr in enumerate(rows)
-                for var, coeff in expr.term_items()]
-    count = len(triplets)
-    row_idx = np.fromiter((t[0] for t in triplets), dtype=np.intp, count=count)
-    col_idx = np.fromiter((t[1] for t in triplets), dtype=np.intp, count=count)
-    values = np.fromiter((float(t[2]) for t in triplets), dtype=np.float64,
-                         count=count)
-    if sign != 1.0:
-        values *= sign
-    return coo_matrix((values, (row_idx, col_idx)),
-                      shape=(len(rows), num_vars)).tocsr()
+
+    def __init__(self, status: str) -> None:
+        super().__init__(f"the LP solver failed (HiGHS status: {status})")
+        self.status = status
 
 
-def _column_bounds(variables: Sequence[LPVar]) -> np.ndarray:
-    """``[0, inf)`` for non-negative columns, ``(-inf, inf)`` otherwise."""
-    bounds = np.empty((len(variables), 2))
-    bounds[:, 0] = [0.0 if var.nonneg else -np.inf for var in variables]
-    bounds[:, 1] = np.inf
-    return bounds
+def _highs_options() -> "highs.HighsOptions":
+    """The options SciPy's own LP front end passes HiGHS: presolve on, the
+    dual simplex, no output and no debug checks.  With the same options and
+    row order the vectors are bit-identical to that front end's, which
+    ``tests/test_lp_oracle.py`` checks."""
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = \
+        highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+_OPTIONS = _highs_options()
+
+
+def _row_entries(rows: Iterable[AffExpr]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column indices, values and per-row lengths of ``rows``' terms,
+    in row order, from one pass over each row's term dict."""
+    columns: List[int] = []
+    values: List[float] = []
+    lengths: List[int] = []
+    for expr in rows:
+        items = expr.term_items()
+        lengths.append(len(items))
+        for var, coeff in items:
+            columns.append(var.index)
+            values.append(float(coeff))
+    return (np.array(columns, dtype=np.int32), np.array(values),
+            np.array(lengths, dtype=np.int32))
 
 
 class AssembledSystem:
-    """A :class:`ConstraintSystem` translated once into ``linprog`` arrays.
+    """A :class:`ConstraintSystem` as the column-wise arrays of one HiGHS model.
 
-    The base equality/inequality matrices are built once per degree
-    attempt and never change; per-stage ``extra`` upper-bound rows from the
-    iterative objective scheme are assembled separately and stacked with
-    ``scipy.sparse.vstack``, so repeated solves over the same system never
-    rebuild the base matrices.
+    Rows come in the order SciPy's LP front end stacks them: the ``ge``
+    rows negated into ``-expr <= const``, then the stage rows of the
+    iterative objective scheme, then the ``eq`` rows.  The base arrays are
+    built once per degree attempt; each solve inserts its (one to three)
+    stage rows between the two blocks and hands the model to a fresh HiGHS
+    instance, a cold solve.
     """
 
     def __init__(self, system: ConstraintSystem) -> None:
         self.system = system
-        self.num_vars = system.num_variables
+        self.num_vars = num_vars = system.num_variables
         self.num_constraints = system.num_constraints
-        eq_rows = [c.expr for c in system.constraints if c.kind == "eq"]
         ge_rows = [c.expr for c in system.constraints if c.kind == "ge"]
-        self.a_eq = _rows_to_csr(eq_rows, self.num_vars)
-        self.b_eq = (np.fromiter((-float(e.const) for e in eq_rows),
-                                 dtype=np.float64, count=len(eq_rows))
-                     if eq_rows else None)
-        # expr >= 0   <=>   -expr <= 0
-        self.a_ub_base = _rows_to_csr(ge_rows, self.num_vars, sign=-1.0)
-        self.b_ub_base = (np.fromiter((float(e.const) for e in ge_rows),
-                                      dtype=np.float64, count=len(ge_rows))
-                          if ge_rows else None)
-        #: ``(num_vars, 2)`` column bounds, built once: ``linprog`` cleans
-        #: an array in a fraction of the time a list of tuples takes.
-        self.bounds = _column_bounds(system.variables)
-        #: Incremental cache of the assembled per-stage ``extra`` rows:
-        #: the (expr, bound) prefix already assembled, its CSR block and
-        #: right-hand side.  See :meth:`_assemble_extras`.
-        self._extras_cache: Optional[
-            Tuple[List[Tuple[AffExpr, float]], csr_matrix, np.ndarray]] = None
+        eq_rows = [c.expr for c in system.constraints if c.kind == "eq"]
+        self.num_ge = num_ge = len(ge_rows)
+        rows = ge_rows + eq_rows
+        columns, values, lengths = _row_entries(rows)
+        ge_entries = int(lengths[:num_ge].sum())
+        values[:ge_entries] *= -1.0
+        # Row-major entries -> CSC: a stable sort by column keeps each
+        # column's row indices ascending.
+        order = np.argsort(columns, kind="stable")
+        #: CSC row indices and values of the ``ge``-then-``eq`` base rows.
+        self.index = np.repeat(np.arange(len(rows), dtype=np.int32),
+                               lengths)[order]
+        self.value = values[order]
+        self.start = np.zeros(num_vars + 1, dtype=np.int32)
+        np.cumsum(np.bincount(columns, minlength=num_vars),
+                  out=self.start[1:])
+        #: Per column, the position after its ``ge`` entries: where the
+        #: stage rows' entries go.
+        self._stage_at = self.start[:-1] + np.bincount(
+            columns[:ge_entries], minlength=num_vars).astype(np.int32)
+        self._is_eq = self.index >= num_ge
+        consts = np.fromiter((float(expr.const) for expr in rows),
+                             dtype=np.float64, count=len(rows))
+        # -expr <= const for ge rows; expr == 0, i.e. terms == -const, for eq.
+        self.row_upper = np.concatenate([consts[:num_ge], -consts[num_ge:]])
+        self.row_lower = np.concatenate([np.full(num_ge, -np.inf),
+                                         -consts[num_ge:]])
+        self.col_lower = np.array([0.0 if var.nonneg else -np.inf
+                                   for var in system.variables])
+        self.col_upper = np.full(num_vars, np.inf)
 
     # ``perfbench/tracer.py`` wraps this name by class attribute lookup;
     # nothing calls it.  The tracer's move into ``src/`` deletes it.
     extend = __init__
-
-    def _assemble_extras(self, extra: Sequence[Tuple[AffExpr, float]]
-                         ) -> Tuple[csr_matrix, np.ndarray]:
-        """Assemble the ``extra`` rows, reusing the cached prefix.
-
-        The iterative objective scheme grows ``extra`` by exactly one row
-        per stage, so re-running ``_rows_to_csr`` over the whole list every
-        solve re-did all but the newest row's work.  The cache keeps the
-        previously assembled block and appends only the unseen suffix;
-        any non-prefix call (fresh stage list, changed bound) falls back to
-        a full rebuild.
-        """
-        cached = self._extras_cache
-        if cached is not None:
-            prefix, block, rhs = cached
-            if len(prefix) <= len(extra) \
-                    and all(old_expr is new_expr and old_bound == new_bound
-                            for (old_expr, old_bound), (new_expr, new_bound)
-                            in zip(prefix, extra)):
-                if len(prefix) < len(extra):
-                    suffix = extra[len(prefix):]
-                    block = vstack(
-                        [block, _rows_to_csr([expr for expr, _ in suffix],
-                                             self.num_vars)],
-                        format="csr")
-                    rhs = np.concatenate([rhs, np.fromiter(
-                        (bound - float(expr.const) for expr, bound in suffix),
-                        dtype=np.float64, count=len(suffix))])
-                    self._extras_cache = (list(extra), block, rhs)
-                return block, rhs
-        block = _rows_to_csr([expr for expr, _ in extra], self.num_vars)
-        rhs = np.fromiter((bound - float(expr.const)
-                           for expr, bound in extra),
-                          dtype=np.float64, count=len(extra))
-        self._extras_cache = (list(extra), block, rhs)
-        return block, rhs
-
-    def matrices(self, extra: Sequence[Tuple[AffExpr, float]] = ()):
-        """The ``(A_ub, b_ub, A_eq, b_eq, bounds)`` tuple for ``linprog``."""
-        a_ub, b_ub = self.a_ub_base, self.b_ub_base
-        if extra:
-            a_extra, b_extra = self._assemble_extras(extra)
-            if a_ub is None:
-                a_ub, b_ub = a_extra, b_extra
-            else:
-                a_ub = vstack([a_ub, a_extra], format="csr")
-                b_ub = np.concatenate([b_ub, b_extra])
-        return a_ub, b_ub, self.a_eq, self.b_eq, self.bounds
 
     def objective_vector(self, objective: Optional[AffExpr]) -> np.ndarray:
         c = np.zeros(self.num_vars)
@@ -173,22 +155,70 @@ class AssembledSystem:
                 c[var.index] = float(coeff)
         return c
 
+    def model(self, objective: Optional[AffExpr] = None,
+              extra: Sequence[Tuple[AffExpr, float]] = ()) -> "highs.HighsLp":
+        """The HiGHS model: minimise ``objective`` subject to the base rows
+        and the ``extra`` stage rows ``expr <= bound``."""
+        start, index, value = self.start, self.index, self.value
+        row_lower, row_upper = self.row_lower, self.row_upper
+        if extra:
+            columns, values, lengths = _row_entries(expr for expr, _ in extra)
+            at = self._stage_at[columns]
+            stage_rows = self.num_ge + np.repeat(
+                np.arange(len(extra), dtype=np.int32), lengths)
+            # np.insert keeps the given order at equal positions, so a
+            # column's stage entries stay in stage order.
+            index = np.insert(index + len(extra) * self._is_eq, at,
+                              stage_rows)
+            value = np.insert(value, at, values)
+            start = start.copy()
+            start[1:] += np.cumsum(np.bincount(columns,
+                                               minlength=self.num_vars))
+            at_rows = np.full(len(extra), self.num_ge)
+            row_lower = np.insert(row_lower, at_rows, -np.inf)
+            row_upper = np.insert(row_upper, at_rows, [
+                bound - float(expr.const) for expr, bound in extra])
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = self.num_vars
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
+        lp.col_cost_ = self.objective_vector(objective)
+        lp.col_lower_ = self.col_lower
+        lp.col_upper_ = self.col_upper
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
+        return lp
+
     def solve(self, objective: Optional[AffExpr] = None,
               extra: Sequence[Tuple[AffExpr, float]] = ()) -> Optional[np.ndarray]:
-        """Minimise ``objective`` over the system; return values or None."""
+        """Minimise ``objective`` over the system plus the ``extra`` rows.
+
+        Returns the optimal column values, or None when HiGHS proves the LP
+        infeasible; any other status raises :class:`SolverError`.
+        """
         if self.num_vars == 0:
             return np.zeros(0)
-        a_ub, b_ub, a_eq, b_eq, bounds = self.matrices(extra)
-        result = linprog(self.objective_vector(objective), A_ub=a_ub, b_ub=b_ub,
-                         A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if not result.success:
+        solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
+        status = highs.HighsModelStatus.kModelError
+        if solver.passModel(self.model(objective, extra)) \
+                != highs.HighsStatus.kError:
+            ran = solver.run() != highs.HighsStatus.kError
+            status = solver.getModelStatus()
+            if ran and status == highs.HighsModelStatus.kOptimal:
+                return np.array(solver.getSolution().col_value)
+        if status == highs.HighsModelStatus.kInfeasible:
             return None
-        return result.x
+        raise SolverError(solver.modelStatusToString(status))
 
 
 def solve_lp(system: ConstraintSystem, objective: Optional[AffExpr] = None,
              extra: Sequence[Tuple[AffExpr, float]] = ()) -> Optional[np.ndarray]:
-    """Minimise ``objective`` subject to the system; return values or None."""
+    """Minimise ``objective`` subject to the system (see
+    :meth:`AssembledSystem.solve`)."""
     return AssembledSystem(system).solve(objective, extra)
 
 

@@ -252,24 +252,26 @@ class IntervalBox:
         for var in involved:
             if self.bounds.get(var, (None, None)) != (None, None):
                 return UNDECIDED
-        ratio: Optional[Coeff] = None
+        # The first (coeff, base) pair; later pairs are compared with it by
+        # cross-multiplication, so the ratio is divided out only once.
+        first: Optional[Tuple[Coeff, Coeff]] = None
         matched = 0
         for var, coeff in expression.coeff_items:
             base = coeffs.get(var)
             if base is None:
                 return None  # free coordinate: unbounded below
             matched += 1
-            current = Fraction(coeff, base)
-            if ratio is None:
-                ratio = current
-            elif current != ratio:
+            if first is None:
+                first = (coeff, base)
+            elif coeff * first[1] != first[0] * base:
                 return None  # independent form: slide along the boundary
-        if ratio is None:
+        if first is None:
             return UNDECIDED  # constant expression: not this tier's call
         if matched != len(coeffs):
             # A fact variable the expression lacks: the forms are
             # independent, so the boundary has a sliding direction.
             return None
+        ratio = Fraction(*first)
         if ratio < 0:
             return None  # the fact's own normal is a decreasing ray
         return exact(expression.const_term - ratio * fact.const_term)

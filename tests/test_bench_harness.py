@@ -404,6 +404,19 @@ class TestPerfCheck:
         assert find_regressions(report(0.6, 1.0), report(0.5, 1.0)) == []
         assert find_regressions(report(0.06, 1.0), report(0.03, 1.0)) == []
 
+    def test_flags_an_extra_lp_solve(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # One more stage solved (a broken skip) while the seconds held.
+        def report(solves):
+            return {"programs": [{"name": "a", "wall_seconds": 1.0,
+                                  "lp_solves": solves}]}
+
+        assert find_regressions(report(2), report(1)) \
+            == ["a: LP solves 2 vs baseline 1 (+100%)"]
+        assert find_regressions(report(1), report(1)) == []
+        assert find_regressions(report(1), report(2)) == []
+
     def test_flags_escalated_wall_regression(self):
         from repro.bench.perfsmoke import find_regressions
 
@@ -489,15 +502,16 @@ class TestPerfCheck:
         from repro.bench.perfsmoke import main
 
         shared = tmp_path / "bench.json"
-        # roulette is the slowest linear benchmark (~0.6s), comfortably
-        # above the absolute regression floor.
         assert main(["--programs", "roulette", "--quiet",
                      "--output", str(shared)]) == 0
         # Doctor the baseline into an impossible-to-meet budget: if the
-        # gate compared the fresh run against itself it would pass.
+        # gate compared the fresh run against itself it would pass.  A
+        # warm re-run of roulette can land under the wall's absolute
+        # floor, so the budget is on its query count, which has no floor.
         record = json.loads(shared.read_text())
         for program in record["programs"]:
             program["wall_seconds"] = 1e-9
+            program["fm_queries"] = 1
         shared.write_text(json.dumps(record))
         assert main(["--programs", "roulette", "--quiet",
                      "--output", str(shared), "--check", str(shared)]) == 1

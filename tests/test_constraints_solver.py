@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.constraints import AffExpr, ConstraintSystem
-from repro.core.solver import IterativeMinimizer, solve_lp
+from repro.core.solver import IterativeMinimizer, SolverError, solve_lp
 
 
 class TestAffExpr:
@@ -93,6 +93,14 @@ class TestSolveLP:
 
     def test_empty_system(self):
         assert solve_lp(ConstraintSystem(), None) is not None
+
+    def test_unbounded_raises(self):
+        # Minimising a free x: no optimum, but not infeasible either.
+        cs = ConstraintSystem()
+        x = cs.new_var("x")
+        with pytest.raises(SolverError, match="Unbounded") as excinfo:
+            solve_lp(cs, x)
+        assert excinfo.value.status == "Unbounded"
 
 
 class TestIterativeMinimizer:

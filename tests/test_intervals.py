@@ -138,6 +138,17 @@ class TestBoxDeciders:
         box = IntervalBox.from_facts([fact])
         assert box.glb(expr({"n": 2, "x": -2, "y": -2})) == Fraction(2)
 
+    def test_glb_halfspace_ratio_is_exact_and_normal(self):
+        # Single fact 2n - 3x - 1 >= 0 (no bounds): a proportional form's
+        # glb is const - ratio * (-1), an int when integral.
+        box = IntervalBox.from_facts([2 * N - 3 * X - LinExpr.const(1)])
+        half = box.glb(expr({"n": 1, "x": Fraction(-3, 2)}))
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        three = box.glb(expr({"n": 4, "x": -6}) + LinExpr.const(1))
+        assert three == 3 and type(three) is int
+        # A negative multiple decreases along the fact's own normal.
+        assert box.glb(expr({"n": -2, "x": 3})) is None
+
     def test_glb_halfspace_independent_form_is_unbounded(self):
         # Single fact a + 3b - 4 >= 0; 2a - 5 slides along the boundary:
         # decidedly unbounded (the regression from the bound-mismatch bug).

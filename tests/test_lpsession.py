@@ -1,8 +1,9 @@
 """Tests for the LP session (``repro.core.lpsession``).
 
 Covers the session protocol on a tiny LP (optimum, stage rows, infeasible
--> None), the stage-row cache of ``AssembledSystem.matrices``, the
-already-optimal stage skip and the sparse snap of the minimizer, and the
+-> None, unbounded -> ``SolverError``), the column-wise model of
+``AssembledSystem.model`` with its stage rows, the already-optimal stage
+skip and the sparse snap of the minimizer, and the
 registry pin: an escalating analysis, which builds a fresh session per
 degree attempt, yields the same bound and certificate as a cold run at the
 target degree.
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from repro.bench.registry import linear_benchmarks, polynomial_benchmarks
 from repro.core import solver
@@ -22,7 +24,8 @@ from repro.core.certificates import check_certificate
 from repro.core.constraints import ConstraintSystem
 from repro.core.lpsession import LPSession
 from repro.core.solver import (AssembledSystem, IterativeMinimizer,
-                               snap_assignment, stage_already_optimal)
+                               SolverError, snap_assignment,
+                               stage_already_optimal)
 from repro.lang import builder as B
 from repro.utils.rationals import snap_fraction
 
@@ -80,10 +83,10 @@ class TestSessionProtocol:
         assert values is not None
         assert values[0] + values[1] <= 2.0 + 1e-5
         session.clear_stage_rows()
-        values = session.solve(x * -1)
-        # Unbounded after the fix row is gone: either reported as
-        # infeasible/unbounded (None) or a huge x -- both prove the row left.
-        assert values is None or values[0] > 10.0
+        # Unbounded once the fix row is gone: HiGHS says so, and an
+        # unbounded LP is a solver failure, not an infeasible one.
+        with pytest.raises(SolverError, match="Unbounded"):
+            session.solve(x * -1)
 
     def test_infeasible_reports_none(self):
         system = ConstraintSystem()
@@ -112,59 +115,64 @@ class TestSessionProtocol:
 
 
 # ---------------------------------------------------------------------------
-# The extras-assembly cache (no full re-stack per stage)
+# The column-wise model (linprog's row order, stage rows in between)
 # ---------------------------------------------------------------------------
 
-class TestExtrasCache:
-    def _dense(self, matrices):
-        a_ub, b_ub, _, _, _ = matrices
-        return (a_ub.toarray() if a_ub is not None else None,
-                b_ub.copy() if b_ub is not None else None)
+class TestModelAssembly:
+    """``AssembledSystem.model`` against scipy's CSC of linprog's matrices."""
 
-    def test_incremental_extras_equal_fresh_assembly(self):
-        system, x, y = small_system()
-        assembled = AssembledSystem(system)
-        stage_rows = []
-        for bound in (2.0, 1.5, 1.25):
-            stage_rows.append((x + y, bound))
-            cached_a, cached_b = self._dense(assembled.matrices(stage_rows))
-            fresh_a, fresh_b = self._dense(
-                AssembledSystem(system).matrices(list(stage_rows)))
-            assert np.array_equal(cached_a, fresh_a)
-            assert np.array_equal(cached_b, fresh_b)
+    @staticmethod
+    def _reference(system, extra):
+        ge = [c.expr for c in system.constraints if c.kind == "ge"]
+        eq = [c.expr for c in system.constraints if c.kind == "eq"]
+        stage = [expr for expr, _ in extra]
+        n = system.num_variables
 
-    def test_cache_appends_only_the_suffix(self):
-        system, x, y = small_system()
-        assembled = AssembledSystem(system)
-        rows = [(x + y, 2.0)]
-        assembled.matrices(rows)
-        first_block = assembled._extras_cache[1]
-        rows.append((x - y, 0.5))
-        assembled.matrices(rows)
-        prefix, block, rhs = assembled._extras_cache
-        assert len(prefix) == 2 and block.shape[0] == 2
-        # The prefix row's CSR data was carried over, not re-assembled.
-        assert np.array_equal(block.toarray()[0], first_block.toarray()[0])
+        def dense(rows, sign=1.0):
+            block = np.zeros((len(rows), n))
+            for row, expr in enumerate(rows):
+                for var, coeff in expr.term_items():
+                    block[row, var.index] = sign * float(coeff)
+            return block
 
-    def test_changed_prefix_rebuilds(self):
-        system, x, y = small_system()
-        assembled = AssembledSystem(system)
-        assembled.matrices([(x + y, 2.0)])
-        a, b = self._dense(assembled.matrices([(x + y, 3.0)]))
-        fresh_a, fresh_b = self._dense(
-            AssembledSystem(system).matrices([(x + y, 3.0)]))
-        assert np.array_equal(a, fresh_a)
-        assert np.array_equal(b, fresh_b)
+        matrix = csc_array(np.vstack([dense(ge, -1.0), dense(stage),
+                                      dense(eq)]))
+        upper = ([float(e.const) for e in ge]
+                 + [bound - float(e.const) for e, bound in extra]
+                 + [-float(e.const) for e in eq])
+        lower = [-np.inf] * (len(ge) + len(stage)) + upper[len(ge) + len(stage):]
+        return matrix, lower, upper
 
-    def test_fresh_stage_list_resets(self):
-        system, x, y = small_system()
+    @pytest.mark.parametrize("extra", [
+        [], [("sum", 2.0)], [("sum", 2.0), ("x - y", 0.5)],
+        [("y - x", 0.25), ("sum", 3.0), ("2x + z", 5.0)]])
+    def test_matches_linprogs_csc(self, extra):
+        system, x, y, z = zero_stage_system()
+        system.add_ge(z - x + 1)
+        system.add_eq(x + z - 3)
+        rows = {"sum": x + y, "x - y": x - y, "y - x": y - x,
+                "2x + z": x * 2 + z}
+        extra = [(rows[name], bound) for name, bound in extra]
+        lp = AssembledSystem(system).model(x + z, extra)
+        matrix, lower, upper = self._reference(system, extra)
+        for ours, theirs in [(lp.a_matrix_.start_, matrix.indptr),
+                             (lp.a_matrix_.index_, matrix.indices),
+                             (lp.a_matrix_.value_, matrix.data),
+                             (lp.row_lower_, lower), (lp.row_upper_, upper),
+                             (lp.col_lower_, [0.0, 0.0, 0.0]),
+                             (lp.col_cost_, [1.0, 0.0, 1.0])]:
+            assert np.array_equal(ours, theirs)
+        assert (lp.num_row_, lp.num_col_) == matrix.shape
+
+    def test_base_arrays_are_not_modified_by_stage_rows(self):
+        system, x, y, z = zero_stage_system()
         assembled = AssembledSystem(system)
-        assembled.matrices([(x + y, 2.0), (x - y, 0.5)])
-        a, b = self._dense(assembled.matrices([(y - x, 0.25)]))
-        fresh_a, fresh_b = self._dense(
-            AssembledSystem(system).matrices([(y - x, 0.25)]))
-        assert np.array_equal(a, fresh_a)
-        assert np.array_equal(b, fresh_b)
+        arrays = (assembled.start, assembled.index, assembled.value,
+                  assembled.row_lower, assembled.row_upper)
+        base = [array.copy() for array in arrays]
+        assembled.model(x, [(x + y, 1.0), (z, 2.0)])
+        assert all(np.array_equal(array, copy)
+                   for array, copy in zip(arrays, base))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 
 from repro.bench.registry import get_benchmark
+from repro.core import solver
+from repro.core.analyzer import analyze_source
 from repro.service.jobs import (SCHEMA_VERSION, AnalysisJob, JobResult,
                                 bound_from_payload, canonical_source,
                                 job_from_benchmark, job_from_file, run_job)
+from repro.service.scheduler import run_jobs
+from repro.service.store import ResultStore
 
 RDWALK = """
 proc main(x, n) {
@@ -105,6 +109,34 @@ class TestRunJob:
         assert record["schema"] == SCHEMA_VERSION
         restored = JobResult.from_record(record)
         assert restored == result
+
+
+class TestSolverFailure:
+    """A HiGHS status other than optimal or infeasible is an
+    ``analysis-error`` naming the status: not ``no-bound``, not escalated to
+    a higher degree, and not stored."""
+
+    @pytest.fixture(autouse=True)
+    def iteration_limit(self, monkeypatch):
+        options = solver._highs_options()
+        options.simplex_iteration_limit = 0
+        monkeypatch.setattr(solver, "_OPTIONS", options)
+
+    def test_analysis_reports_the_status(self):
+        result = analyze_source(RDWALK, max_degree=1, auto_degree=True,
+                                degree_limit=2)
+        assert (result.success, result.failure_kind) \
+            == (False, "analysis-error")
+        assert "Iteration limit reached" in result.message
+        assert result.stats.attempted_degrees == [1]
+
+    def test_result_is_not_stored(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        job = AnalysisJob.create("rdwalk", RDWALK)
+        result, = run_jobs([job], store=store)
+        assert result.status == "analysis-error"
+        assert "Iteration limit reached" in result.message
+        assert job.job_hash not in store and len(store) == 0
 
 
 class TestBoundPayload:
