@@ -12,8 +12,6 @@ compare against a committed baseline::
     python -m repro.bench.perfsmoke --workers 4          # + parallel pass
     python -m repro.bench.perfsmoke --group all --escalation   # from degree 1
     python -m repro.bench.perfsmoke --sampler          # sampler throughput
-    python -m repro.bench.perfsmoke --domain polyhedra   # other backend
-    python -m repro.bench.perfsmoke --compare-domains    # fm vs polyhedra
     python -m repro.bench.perfsmoke --chaos            # fault-recovery gate
     python -m repro.bench.perfsmoke --serve            # gateway load bench
     python -m repro.bench.perfsmoke --lint             # diagnostics sweep
@@ -93,8 +91,7 @@ import repro.core.solver  # noqa: F401
 from repro.bench.registry import select_benchmarks
 from repro.bench.reporting import render_table
 from repro.core.analyzer import analyze_program
-from repro.logic.entailment import (active_prefilter, available_domains,
-                                    get_engine, resolve_domain)
+from repro.logic.entailment import active_prefilter, get_engine
 
 #: Default output path (repo root when invoked from a checkout).
 DEFAULT_OUTPUT = "BENCH_entailment.json"
@@ -157,8 +154,6 @@ def run_suite(group: str = "linear",
               escalation: bool = False,
               sampler: bool = False,
               sampler_runs: int = SAMPLER_RUNS,
-              domain: Optional[str] = None,
-              compare_domains: bool = False,
               chaos: bool = False,
               serve: bool = False,
               lint: bool = False) -> Dict[str, object]:
@@ -171,15 +166,8 @@ def run_suite(group: str = "linear",
     mode (start at degree 1, retry at the target degree), timing the
     escalated wall and asserting that escalated bounds are identical to
     the cold run's.
-
-    ``domain`` selects the abstract-domain backend timed by the main pass
-    (recorded as the report's ``domain`` field); ``compare_domains=True``
-    re-times the suite's entailment load once per registered backend and
-    records the per-domain walls and engine counters under ``domains``,
-    asserting bound identity across backends along the way.
     """
-    domain = resolve_domain(domain)
-    engine = get_engine(domain)
+    engine = get_engine()
     benchmarks = _select(group, programs, limit)
     rows: List[Dict[str, object]] = []
     suite_before = engine.stats.snapshot()
@@ -195,8 +183,7 @@ def run_suite(group: str = "linear",
         # varies with the hash seed): 50 ms on a 40 ms program.
         gc.freeze()
         start = time.perf_counter()
-        result = analyze_program(program, **{**bench.analyzer_options,
-                                             "domain": domain})
+        result = analyze_program(program, **bench.analyzer_options)
         wall = time.perf_counter() - start
         delta = engine.stats.delta(before)
         answered = (delta["memo_hits"] + delta["fast_hits"]
@@ -238,33 +225,25 @@ def run_suite(group: str = "linear",
     suite_wall_parallel: Optional[float] = None
     parallel_speedup: Optional[float] = None
     if workers > 1:
-        suite_wall_parallel = _parallel_pass(benchmarks, rows, workers, domain)
+        suite_wall_parallel = _parallel_pass(benchmarks, rows, workers)
         if suite_wall_parallel > 0:
             parallel_speedup = round(total_wall / suite_wall_parallel, 2)
 
     escalation_summary: Optional[Dict[str, object]] = None
     if escalation:
-        escalation_summary = _escalation_pass(benchmarks, rows, domain)
+        escalation_summary = _escalation_pass(benchmarks, rows)
 
     sampler_summary: Optional[Dict[str, object]] = None
     if sampler:
         sampler_summary = _sampler_pass(runs=sampler_runs)
 
-    domain_summary: Optional[Dict[str, object]] = None
-    if compare_domains:
-        domain_summary = _domain_comparison_pass(benchmarks)
-
     chaos_summary: Optional[Dict[str, object]] = None
     if chaos:
-        chaos_summary = _chaos_pass(benchmarks,
-                                    workers=max(2, workers),
-                                    domain=domain)
+        chaos_summary = _chaos_pass(benchmarks, workers=max(2, workers))
 
     serve_summary: Optional[Dict[str, object]] = None
     if serve:
-        serve_summary = _serve_pass(benchmarks,
-                                    workers=max(2, workers),
-                                    domain=domain)
+        serve_summary = _serve_pass(benchmarks, workers=max(2, workers))
 
     lint_summary: Optional[Dict[str, object]] = None
     if lint:
@@ -277,14 +256,12 @@ def run_suite(group: str = "linear",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "domain": domain,
         "workers": workers,
         "total_wall_seconds": round(total_wall, 3),
         "suite_wall_parallel": suite_wall_parallel,
         "parallel_speedup": parallel_speedup,
         "escalation": escalation_summary,
         "sampler": sampler_summary,
-        "domains": domain_summary,
         "chaos": chaos_summary,
         "serve": serve_summary,
         "lint": lint_summary,
@@ -295,12 +272,12 @@ def run_suite(group: str = "linear",
 
 
 def _parallel_pass(benchmarks, rows: List[Dict[str, object]],
-                   workers: int, domain: str) -> float:
+                   workers: int) -> float:
     """Re-run the suite through the scheduler; annotate rows, return wall."""
     from repro.service.jobs import job_from_benchmark
     from repro.service.scheduler import run_jobs
 
-    jobs = [job_from_benchmark(bench, domain=domain) for bench in benchmarks]
+    jobs = [job_from_benchmark(bench) for bench in benchmarks]
     start = time.perf_counter()
     results = run_jobs(jobs, workers=workers)
     wall = round(time.perf_counter() - start, 3)
@@ -315,8 +292,8 @@ def _parallel_pass(benchmarks, rows: List[Dict[str, object]],
     return wall
 
 
-def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
-                     domain: str) -> Dict[str, object]:
+def _escalation_pass(benchmarks, rows: List[Dict[str, object]]
+                     ) -> Dict[str, object]:
     """Time every degree->=2 benchmark escalating from degree 1.
 
     Each such program is analyzed with ``max_degree=1`` and auto-retry up
@@ -334,12 +311,12 @@ def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
 
     summary = {"programs": 0, "wall_escalated": 0.0, "cold_solves": 0}
     for bench, row in zip(benchmarks, rows):
-        options = {**bench.analyzer_options, "domain": domain}
+        options = bench.analyzer_options
         target = int(options.get("max_degree", 1))
         if target < 2:
             continue
         program = bench.build()
-        reset_engine(domain)
+        reset_engine()
         clear_rewrite_caches()
         start = time.perf_counter()
         escalated = analyze_program(program, **{
@@ -365,68 +342,7 @@ def _escalation_pass(benchmarks, rows: List[Dict[str, object]],
     return summary
 
 
-def _domain_comparison_pass(benchmarks) -> Dict[str, object]:
-    """Time the suite's entailment load once per abstract-domain backend.
-
-    For every registered domain the selected benchmarks are analyzed with
-    that backend active; per-domain wall clock and entailment-engine
-    counters (queries, eliminations, cache hit rate) land in the report so
-    the committed baseline documents how the backends compare.  Bounds are
-    asserted identical across domains -- both backends are exact, so any
-    divergence is a soundness bug worth failing the run for.
-
-    Every leg starts *cold*: a fresh engine and cleared rewrite memos, so
-    the comparison measures each backend doing the full query load rather
-    than coasting on answers the main pass (or the other leg) cached.
-    """
-    from repro.core.rewrite import clear_rewrite_caches
-    from repro.logic.entailment import reset_engine
-
-    comparison: Dict[str, object] = {}
-    reference_bounds: Dict[str, Optional[str]] = {}
-    for domain in available_domains():
-        engine = reset_engine(domain)
-        clear_rewrite_caches()
-        before = engine.stats.snapshot()
-        program_rows: List[Dict[str, object]] = []
-        start = time.perf_counter()
-        for bench in benchmarks:
-            program = bench.build()
-            job_before = engine.stats.snapshot()
-            job_start = time.perf_counter()
-            result = analyze_program(program, **{**bench.analyzer_options,
-                                                 "domain": domain})
-            wall = time.perf_counter() - job_start
-            delta = engine.stats.delta(job_before)
-            bound = result.bound.pretty() if result.bound else None
-            if bench.name in reference_bounds \
-                    and reference_bounds[bench.name] != bound:
-                raise AssertionError(
-                    f"domain bound mismatch for {bench.name}: {domain} found "
-                    f"{bound!r} vs {reference_bounds[bench.name]!r}")
-            reference_bounds.setdefault(bench.name, bound)
-            program_rows.append({
-                "name": bench.name,
-                "wall_seconds": round(wall, 4),
-                "queries": delta["queries"],
-                "eliminations": delta["eliminations"],
-            })
-        total_wall = time.perf_counter() - start
-        suite_delta = engine.stats.delta(before)
-        answered = suite_delta["memo_hits"] + suite_delta["fast_hits"]
-        comparison[domain] = {
-            "total_wall_seconds": round(total_wall, 3),
-            "queries": suite_delta["queries"],
-            "eliminations": suite_delta["eliminations"],
-            "hit_rate": (round(answered / suite_delta["queries"], 4)
-                         if suite_delta["queries"] else None),
-            "programs": program_rows,
-        }
-    return comparison
-
-
 def _chaos_pass(benchmarks, workers: int = 2,
-                domain: Optional[str] = None,
                 crash_probability: float = CHAOS_CRASH_PROBABILITY,
                 corrupt_probability: float = CHAOS_CORRUPT_PROBABILITY,
                 seed: int = 0) -> Dict[str, object]:
@@ -464,7 +380,7 @@ def _chaos_pass(benchmarks, workers: int = 2,
         return {"skipped": "needs the fork start method (pool workers "
                            "inherit the fault registry at fork time)"}
 
-    jobs = [job_from_benchmark(bench, domain=domain) for bench in benchmarks]
+    jobs = [job_from_benchmark(bench) for bench in benchmarks]
     root = tempfile.mkdtemp(prefix="repro-chaos-")
     try:
         store = ResultStore(root)
@@ -542,7 +458,6 @@ def _percentile(samples: List[float], quantile: float) -> float:
 
 
 def _serve_pass(benchmarks, workers: int = 2,
-                domain: Optional[str] = None,
                 clients: int = SERVE_CLIENTS,
                 hot_rounds: int = SERVE_HOT_ROUNDS,
                 storm_clients: int = SERVE_STORM_CLIENTS
@@ -583,7 +498,7 @@ def _serve_pass(benchmarks, workers: int = 2,
         # would measure a different animal entirely.
         workers = 0
 
-    jobs = [job_from_benchmark(bench, domain=domain) for bench in benchmarks]
+    jobs = [job_from_benchmark(bench) for bench in benchmarks]
     # The earlier passes' survivors leave the collector's reach, as in the
     # main pass.  Otherwise a full collection of this process's heap (about
     # 150 ms after the other passes) lands in whichever phase crosses the
@@ -592,9 +507,7 @@ def _serve_pass(benchmarks, workers: int = 2,
     gc.freeze()
     root = tempfile.mkdtemp(prefix="repro-serve-")
     gateway_thread = GatewayThread(store=ResultStore(root), workers=workers,
-                                   queue_limit=max(64, len(jobs) * 2),
-                                   default_options={"domain": domain}
-                                   if domain else None)
+                                   queue_limit=max(64, len(jobs) * 2))
     try:
         host, port = gateway_thread.start()
         gateway = gateway_thread.gateway
@@ -689,8 +602,6 @@ def _serve_pass(benchmarks, workers: int = 2,
         storm_bench = get_benchmark("rdwalk")
         storm_options: Dict[str, object] = {
             **storm_bench.analyzer_options, "degree_limit": 4}
-        if domain:
-            storm_options["domain"] = domain
         storm_payload = {"op": "analyze", "name": "storm",
                          "source": job_from_benchmark(storm_bench).source,
                          "options": storm_options}
@@ -945,9 +856,8 @@ def _summary_table(report: Dict[str, object]) -> str:
                     else f"{p['cache_hit_rate']:.2f}",
                     "ok" if p["success"] else "FAIL"])
         rows.append(tuple(row))
-    domain = report.get("domain", "fm")
     return render_table(headers, rows,
-                        title=f"perf smoke: {report['suite']} [{domain}]")
+                        title=f"perf smoke: {report['suite']}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -981,13 +891,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail when the vectorised engine's speedup "
                              "over the scalar interpreter drops below this "
                              f"factor (default: {SAMPLER_MIN_SPEEDUP})")
-    parser.add_argument("--domain", choices=available_domains(), default=None,
-                        help="abstract-domain backend timed by the main "
-                             "pass (default: $REPRO_DOMAIN or fm)")
-    parser.add_argument("--compare-domains", action="store_true",
-                        help="also time the suite once per registered "
-                             "backend (fm vs polyhedra), record per-domain "
-                             "entailment counters and assert bound identity")
     parser.add_argument("--chaos", action="store_true",
                         help="also run the fault-recovery gate: re-run the "
                              "suite with deterministic worker crashes "
@@ -1055,8 +958,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_suite(args.group, args.limit, programs=args.programs,
                        workers=args.workers, escalation=args.escalation,
                        sampler=args.sampler, sampler_runs=args.sampler_runs,
-                       domain=args.domain,
-                       compare_domains=args.compare_domains,
                        chaos=args.chaos, serve=args.serve, lint=args.lint)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
@@ -1081,14 +982,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"escalation ({escalation['programs']} programs): "
                   f"{escalation['wall_escalated']:.2f}s from degree 1, "
                   "bounds identical to the cold runs")
-        domain_report = report.get("domains")
-        if domain_report:
-            for name, summary in domain_report.items():
-                print(f"domain {name}: {summary['total_wall_seconds']:.2f}s, "
-                      f"{summary['queries']} queries, "
-                      f"{summary['eliminations']} eliminations"
-                      + (f", hit rate {summary['hit_rate']:.1%}"
-                         if summary["hit_rate"] is not None else ""))
         chaos_report = report.get("chaos")
         if chaos_report:
             if "skipped" in chaos_report:
@@ -1169,16 +1062,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"{ratio:.2%} of the sequential analysis wall "
                       f"(cap {LINT_MAX_OVERHEAD:.0%})", file=sys.stderr)
                 return 1
-        baseline_domain = baseline.get("domain", "fm")
-        if report["domain"] != baseline_domain:
-            # Cross-domain wall-time comparisons are meaningless: a slower
-            # backend would fail CI as a spurious "regression" and a faster
-            # one would mask a real one.  Regenerate the baseline under the
-            # same --domain instead.
-            print(f"cannot --check: report timed under domain "
-                  f"{report['domain']!r} but baseline {args.check!r} was "
-                  f"timed under {baseline_domain!r}", file=sys.stderr)
-            return 2
         regressions = find_regressions(report, baseline,
                                        threshold=args.threshold)
         if regressions:

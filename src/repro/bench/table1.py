@@ -118,24 +118,14 @@ def _measure_error(benchmark: BenchmarkProgram, bound,
     return error, measurements
 
 
-def _options_for(benchmark: BenchmarkProgram,
-                 domain: Optional[str]) -> Dict[str, object]:
-    """The benchmark's analyzer options, with the domain choice applied."""
-    options: Dict[str, object] = dict(benchmark.analyzer_options)
-    if domain is not None:
-        options["domain"] = domain
-    return options
-
-
 def evaluate_benchmark(benchmark: BenchmarkProgram,
                        runs: Optional[int] = None,
                        simulate: bool = True,
-                       seed: int = 0,
-                       domain: Optional[str] = None) -> Table1Row:
+                       seed: int = 0) -> Table1Row:
     """Analyze + (optionally) simulate one benchmark."""
     program = benchmark.build()
     start = time.perf_counter()
-    result = analyze_program(program, **_options_for(benchmark, domain))
+    result = analyze_program(program, **benchmark.analyzer_options)
     analysis_seconds = time.perf_counter() - start
 
     error = float("nan")
@@ -162,8 +152,7 @@ def evaluate_benchmark(benchmark: BenchmarkProgram,
 
 def evaluate_parallel(benchmarks: Sequence[BenchmarkProgram], workers: int,
                       runs: Optional[int] = None, simulate: bool = True,
-                      seed: int = 0, store=None,
-                      domain: Optional[str] = None) -> List[Table1Row]:
+                      seed: int = 0, store=None) -> List[Table1Row]:
     """Analyze ``benchmarks`` through the service scheduler, then simulate.
 
     Analyses fan out over ``workers`` processes (0 = inline through the same
@@ -174,8 +163,7 @@ def evaluate_parallel(benchmarks: Sequence[BenchmarkProgram], workers: int,
     from repro.service.jobs import job_from_benchmark
     from repro.service.scheduler import run_jobs
 
-    jobs = [job_from_benchmark(benchmark, domain=domain)
-            for benchmark in benchmarks]
+    jobs = [job_from_benchmark(benchmark) for benchmark in benchmarks]
     results = run_jobs(jobs, workers=workers, store=store)
     rows = []
     for benchmark, result in zip(benchmarks, results):
@@ -214,23 +202,18 @@ def select_group(group: str = "all",
 def run_table1(group: str = "all", names: Optional[Sequence[str]] = None,
                runs: Optional[int] = None, simulate: bool = True,
                seed: int = 0, workers: Optional[int] = None,
-               store=None,
-               domain: Optional[str] = None) -> List[Table1Row]:
+               store=None) -> List[Table1Row]:
     """Evaluate a group of benchmarks and return the rows.
 
     ``workers=None`` keeps the classic in-process path; any integer routes
     the analyses through the service scheduler (0 = inline jobs, N >= 1 = a
-    pool of N processes) with identical bounds either way.  ``domain``
-    selects the abstract-domain backend (None = the process default);
-    bounds are byte-identical across domains by construction.
+    pool of N processes) with identical bounds either way.
     """
     benchmarks = select_group(group, names)
     if workers is not None:
         return evaluate_parallel(benchmarks, workers, runs=runs,
-                                 simulate=simulate, seed=seed, store=store,
-                                 domain=domain)
-    return [evaluate_benchmark(b, runs=runs, simulate=simulate, seed=seed,
-                               domain=domain)
+                                 simulate=simulate, seed=seed, store=store)
+    return [evaluate_benchmark(b, runs=runs, simulate=simulate, seed=seed)
             for b in benchmarks]
 
 
@@ -263,19 +246,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="run the analyses through the service scheduler "
                              "with this many worker processes (0 = inline)")
-    from repro.logic.entailment import available_domains
-
-    parser.add_argument("--domain", choices=available_domains(), default=None,
-                        help="abstract-domain backend for the analyses "
-                             "(default: $REPRO_DOMAIN or fm)")
     args = parser.parse_args(argv)
 
     runs = args.runs
     if args.quick and runs is None:
         runs = 50
     rows = run_table1(group=args.group, names=args.names, runs=runs,
-                      simulate=not args.no_simulation, workers=args.workers,
-                      domain=args.domain)
+                      simulate=not args.no_simulation, workers=args.workers)
     print(render_rows(rows))
     failures = [row.name for row in rows if not row.success]
     if failures:

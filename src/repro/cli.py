@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.registry import benchmark_names
 from repro.core.analyzer import analyze_program
-from repro.logic.entailment import available_domains
 from repro.core.certificates import check_certificate
 from repro.exitcodes import (EXIT_ANALYSIS_ERROR, EXIT_CERTIFICATE_ERROR,
                              EXIT_FAILURE, EXIT_NO_BOUND, EXIT_OK,
@@ -79,8 +78,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    options = {"max_degree": args.degree, "auto_degree": not args.no_auto_degree,
-               "domain": args.domain}
+    options = {"max_degree": args.degree, "auto_degree": not args.no_auto_degree}
     if args.counter:
         options["resource_counter"] = args.counter
     if args.degree_limit is not None:
@@ -208,8 +206,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         forwarded.extend(["--names", *args.names])
     if args.workers is not None:
         forwarded.extend(["--workers", str(args.workers)])
-    if args.domain is not None:
-        forwarded.extend(["--domain", args.domain])
     return table1.main(forwarded)
 
 
@@ -406,10 +402,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     extra_options: Dict[str, object] = {}
     if args.degree_limit is not None:
         extra_options["degree_limit"] = args.degree_limit
-    if args.domain is not None:
-        # Part of every job's content hash: results computed under one
-        # abstract domain are never served to the other.
-        extra_options["domain"] = args.domain
     jobs = _collect_batch_jobs(args.targets, extra_options)
     if not jobs:
         raise SystemExit("nothing to analyze")
@@ -465,8 +457,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     default_options: Dict[str, object] = {}
     if args.degree_limit is not None:
         default_options["degree_limit"] = args.degree_limit
-    if args.domain is not None:
-        default_options["domain"] = args.domain
     if args.async_gateway:
         from repro.service import gateway
         from repro.service.retry import RetryPolicy
@@ -580,9 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="treat this global variable as the resource counter")
     analyze.add_argument("--certificate", action="store_true",
                          help="re-check the derivation certificate")
-    analyze.add_argument("--domain", choices=available_domains(), default=None,
-                         help="abstract-domain backend for entailment "
-                              "queries (default: $REPRO_DOMAIN or fm)")
     analyze.set_defaults(func=_cmd_analyze)
 
     simulate = subparsers.add_parser("simulate", help="estimate the expected cost by sampling")
@@ -637,9 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=None,
                        help="analyze benchmarks through the service scheduler "
                             "with this many worker processes (0 = inline)")
-    bench.add_argument("--domain", choices=available_domains(), default=None,
-                       help="abstract-domain backend for the analyses "
-                            "(default: $REPRO_DOMAIN or fm)")
     bench.set_defaults(func=_cmd_bench)
 
     batch = subparsers.add_parser(
@@ -664,16 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--degree-limit", type=int, default=None,
                        help="apply this auto-degree escalation limit to "
                             "every job (part of the cache key)")
-    batch.add_argument("--domain", choices=available_domains(), default=None,
-                       help="abstract-domain backend for every job (part "
-                            "of the cache key; default: $REPRO_DOMAIN or fm)")
     batch.add_argument("--json", default=None,
                        help="also write the full result records to this file")
     batch.add_argument("--quiet", action="store_true")
     batch.add_argument("--no-degrade", action="store_true",
                        help="disable the graceful-degradation ladder "
-                            "(domain fallback on resource-limit, one "
-                            "lower-degree retry on timeout)")
+                            "(one lower-degree retry on timeout)")
     batch.add_argument("--retry-budget", type=int, default=None,
                        help="per-batch cap on supervised retries after "
                             "worker-pool breaks (default: 8)")
@@ -694,9 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default auto-degree escalation limit for "
                             "requests that do not set one (part of the "
                             "job hash)")
-    serve.add_argument("--domain", choices=available_domains(), default=None,
-                       help="default abstract-domain backend for requests "
-                            "that do not set one (part of the job hash)")
     serve.add_argument("--async", dest="async_gateway", action="store_true",
                        help="run the concurrent TCP gateway (JSON lines, "
                             "request coalescing, tiered cache, "

@@ -43,12 +43,6 @@ class AnalyzerConfig:
 
     #: Maximal degree of the inferred polynomial bound.
     max_degree: int = 1
-    #: Abstract-domain backend answering entailment queries: ``"fm"``
-    #: (Fourier-Motzkin, the default), ``"polyhedra"`` (generator
-    #: representation / Chernikova), or ``None`` for the process default
-    #: (``$REPRO_DOMAIN`` or ``fm``).  Part of the service job hash, so the
-    #: result store never serves one domain's results to the other.
-    domain: Optional[str] = None
     #: Retry with higher degrees (up to ``degree_limit``) when no bound is found.
     auto_degree: bool = True
     degree_limit: int = 2
@@ -105,9 +99,8 @@ class AnalysisResult:
     #: attempted degree; ``"analysis-error"`` when the derivation could not
     #: even be set up (lowering failures, unsupported constructs, ...) or
     #: HiGHS ended an LP with neither an optimum nor an infeasibility proof;
-    #: ``"resource-limit"`` when the backend ran out of resources (the
-    #: Fourier-Motzkin constraint cap) -- a failure of the *backend*, not
-    #: the program, so the service layer may retry under another domain.
+    #: ``"resource-limit"`` when the process ran out of memory -- a failure
+    #: of the environment, not the program, so it is never cached.
     #: Front ends map these to distinct exit codes.
     failure_kind: str = ""
     total_seconds: float = 0.0

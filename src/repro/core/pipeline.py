@@ -262,28 +262,11 @@ class AnalysisPipeline:
     def run(self) -> "AnalysisResult":
         """Run the analysis over the configured degree-retry schedule.
 
-        The whole run executes with the configured abstract domain active
-        (:func:`repro.logic.entailment.use_domain`), so every ``Context``
-        operation -- from abstract interpretation to the rewrite-side
-        entailment checks -- is answered by the selected backend.  The
-        interval pre-filter tier follows the ambient
+        The interval pre-filter tier follows the ambient
         :func:`repro.logic.entailment.active_prefilter` setting: on unless
         the ``$REPRO_PREFILTER=off`` oracle switch or a test's
         ``use_prefilter(False)`` turns it off.
         """
-        from repro.core.analyzer import AnalysisResult
-        from repro.logic.entailment import resolve_domain, use_domain
-
-        try:
-            domain = resolve_domain(self.config.domain)
-        except ValueError as exc:
-            return AnalysisResult(
-                False, None, self.config.max_degree, 0.0, 0, 0, None,
-                str(exc), failure_kind="analysis-error", stats=self.stats)
-        with use_domain(domain):
-            return self._run_attempts()
-
-    def _run_attempts(self) -> "AnalysisResult":
         from dataclasses import replace
 
         from repro.core.analyzer import AnalysisResult
@@ -303,15 +286,12 @@ class AnalysisPipeline:
                 False, None, config.max_degree, 0.0, 0, 0, None, str(exc),
                 failure_kind="analysis-error"))
         except MemoryError as exc:
-            # The eliminator's constraint cap (ConstraintCapExceeded) on a
-            # query with no local fallback: a *resource* failure of this
-            # backend, not a property of the program.  Reported as the
-            # structured ``resource-limit`` kind so the service layer can
-            # retry under the cap-free polyhedra backend.
+            # Out of memory: a failure of the environment, not a property
+            # of the program, reported as the structured (never cached)
+            # ``resource-limit`` kind.
             return finalise(AnalysisResult(
                 False, None, config.max_degree, 0.0, 0, 0, None,
-                str(exc) or "constraint cap exceeded",
-                failure_kind="resource-limit"))
+                str(exc) or "out of memory", failure_kind="resource-limit"))
         degrees = [config.max_degree]
         if config.auto_degree:
             degrees += list(range(config.max_degree + 1,
@@ -330,7 +310,7 @@ class AnalysisPipeline:
             except MemoryError as exc:
                 return finalise(AnalysisResult(
                     False, None, degree, 0.0, 0, 0, None,
-                    str(exc) or "constraint cap exceeded",
+                    str(exc) or "out of memory",
                     failure_kind="resource-limit"))
             if result.failure_kind != "no-bound":
                 return finalise(result)

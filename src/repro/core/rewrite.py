@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.contexts import Context
-from repro.logic.entailment import active_domain
 from repro.utils.linear import LinExpr
 from repro.utils.polynomials import (
     IntervalAtom,
@@ -98,10 +97,11 @@ def clear_rewrite_caches() -> None:
 
     That is the rewrite memos here plus the atom/monomial intern tables and
     the product and substitution memos of :mod:`repro.utils.polynomials`.  Used between
-    cold-timing passes (``perfsmoke --compare-domains``, the benchmark's
-    per-analysis reset): the memos embed entailment-derived bounds, so a
-    warm memo would let one domain's timing leg coast on another's query
-    answers, and a warm table would make a "cold" analysis partly warm.
+    cold-timing passes (``perfsmoke --escalation``, the benchmark's
+    per-analysis reset) and around the test suite's polyhedra oracle: the
+    memos embed entailment-derived bounds, so a warm memo would let a
+    "cold" run coast on earlier query answers, and a warm table would make
+    it partly warm.
     """
     _REWRITE_CACHE.clear()
     _ATOM_REWRITE_CACHE.clear()
@@ -122,12 +122,7 @@ def generate_rewrites(context: Context,
     shared, so callers must not mutate it.
     """
     monomials = frozenset(monomials)
-    # Keyed by the active abstract domain: both backends are exact (so the
-    # entries would agree), but sharing them would let one domain's run
-    # silently serve another's queries, defeating per-domain isolation,
-    # statistics and timing comparisons.
-    cache_key = (active_domain(), context, monomials, max_degree,
-                 max_pair_rewrites)
+    cache_key = (context, monomials, max_degree, max_pair_rewrites)
     cached = _REWRITE_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -163,7 +158,7 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     products of :func:`_generate_rewrites`.  The returned lists are shared
     memo entries: callers must not mutate them.
     """
-    cache_key = (active_domain(), context, atoms, max_pair_rewrites)
+    cache_key = (context, atoms, max_pair_rewrites)
     cached = _ATOM_REWRITE_CACHE.get(cache_key)
     if cached is not None:
         return cached

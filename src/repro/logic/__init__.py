@@ -13,14 +13,9 @@ from repro.logic.contexts import Context
 from repro.logic.conditions import facts_from_condition, negated_facts_from_condition
 from repro.logic.absint import AbstractInterpreter, ContextMap
 from repro.logic.entailment import (
-    DomainBackend,
     EntailmentEngine,
     EntailmentStats,
-    available_domains,
-    clear_cache,
     get_engine,
-    reset_stats,
-    use_domain,
 )
 from repro.logic.fourier_motzkin import (
     Infeasible,
@@ -36,14 +31,9 @@ __all__ = [
     "negated_facts_from_condition",
     "AbstractInterpreter",
     "ContextMap",
-    "DomainBackend",
     "EntailmentEngine",
     "EntailmentStats",
-    "available_domains",
-    "clear_cache",
     "get_engine",
-    "reset_stats",
-    "use_domain",
     "Infeasible",
     "Unbounded",
     "entails",

@@ -153,7 +153,7 @@ class Context:
         :mod:`repro.core.rewrite`) use the returned value as a certified
         constant, so the sentinel deliberately conflates the two cases:
         both mean "there is no constant you can cite".  The engine's
-        backends follow the same convention
+        backend follows the same convention
         (:func:`repro.logic.fourier_motzkin.greatest_lower_bound`).
         """
         if self._unreachable:
@@ -181,20 +181,14 @@ class Context:
         Delegated to :meth:`EntailmentEngine.assign
         <repro.logic.entailment.EntailmentEngine.assign>`: the old value of
         ``var`` is renamed to a fresh symbol, the defining equality for the
-        new value is added and the fresh symbol is projected away through
-        the active abstract-domain backend.  Exact for linear right-hand
-        sides.
+        new value is added and the fresh symbol is projected away.  Exact
+        for linear right-hand sides.
         """
         if self._unreachable:
             return self
         try:
             projected = get_engine().assign(self._facts, var, rhs,
                                             key=self._fact_set)
-        except fm.ConstraintCapExceeded:
-            # Only the eliminator's *own* cap falls back to the sound
-            # over-approximation; a genuine interpreter MemoryError must
-            # propagate instead of being swallowed as imprecision.
-            return self.havoc(var)
         except fm.Infeasible:
             return Context.unreachable_context()
         return Context(projected)
@@ -214,8 +208,6 @@ class Context:
                                             exact(low_shift),
                                             exact(high_shift),
                                             key=self._fact_set)
-        except fm.ConstraintCapExceeded:
-            return self.havoc(var)
         except fm.Infeasible:
             return Context.unreachable_context()
         return Context(projected)

@@ -1,4 +1,4 @@
-"""Cached entailment engines fronting the exact abstract-domain backends.
+"""The cached entailment engine fronting the exact Fourier-Motzkin backend.
 
 The abstract interpreter and the rewrite generator ask the same small family
 of questions over and over: ``Gamma |= e >= 0`` (entailment), the greatest
@@ -24,31 +24,20 @@ tried in order:
 
 All layers are exact: fast paths only return definite answers, projections
 are exact for rational Fourier-Motzkin, and the memo never crosses contexts.
-``MemoryError`` raised by the constraint cap is never cached and always
-propagates so callers (e.g. :meth:`Context.assign <repro.logic.contexts.Context.assign>`)
-keep their fallback behaviour.
 
-**Abstract-domain backends.**  The cold layer underneath the caches is
-pluggable: a :class:`DomainBackend` supplies exact projection, feasibility
-and minimisation.  Two registered backends exist:
-
-* ``fm`` (default) -- the hand-rolled Fourier-Motzkin eliminator of
-  :mod:`repro.logic.fourier_motzkin`;
-* ``polyhedra`` -- the generator-representation polyhedral domain of
-  :mod:`repro.logic.polyhedra` (double description / Chernikova).
-
-Both are exact over the rationals, so they must agree on every decision
-query -- ``tests/test_domain_differential.py`` asserts it.  One engine
-exists per domain (:func:`get_engine` with a ``domain`` argument); the
-*active* domain -- what a bare ``get_engine()`` and therefore every
-``Context`` operation uses -- defaults to ``$REPRO_DOMAIN`` or ``fm`` and is
-switched per analysis via :func:`use_domain` (the analyzer pipeline does
-this from ``AnalyzerConfig.domain``).
+**The backend.**  The cold layer underneath the caches is
+:class:`FourierMotzkinBackend`, the hand-rolled eliminator of
+:mod:`repro.logic.fourier_motzkin`.  When an elimination blows the
+eliminator's constraint cap, the backend answers that one query from the
+generator representation (:class:`~repro.logic.polyhedra.Polyhedron`)
+instead -- also exact, so the answer is the same and no cap error ever
+leaves the backend.  ``EntailmentEngine(backend=...)`` accepts any object
+with the backend's methods; the test suite uses it to run whole analyses
+through a polyhedra-backed engine as a differential oracle.
 
 The engine also hosts the lattice/transfer operations (:meth:`EntailmentEngine.join`,
 :meth:`~EntailmentEngine.widen`, :meth:`~EntailmentEngine.assign`), so
-``Context`` never touches a solver module directly and every backend serves
-the full logical-context surface.
+``Context`` never touches a solver module directly.
 """
 
 from __future__ import annotations
@@ -56,23 +45,21 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.logic import fourier_motzkin as fm
 from repro.logic.intervals import UNDECIDED, IntervalBox
+from repro.logic.polyhedra import Polyhedron, canonical_constraints
 from repro.utils.linear import LinExpr
 from repro.utils.rationals import Coeff
 
 FactKey = FrozenSet[LinExpr]
 
-#: Environment variable selecting the process-default domain.
-DOMAIN_ENV = "REPRO_DOMAIN"
-
 #: Environment variable switching the interval tier off (test oracle only).
 PREFILTER_ENV = "REPRO_PREFILTER"
 
-#: The built-in default backend.
+#: Name of the one production backend (what job results record).
 FM_DOMAIN = "fm"
 
 #: Sentinel stored in the projection cache for infeasible contexts.
@@ -106,7 +93,7 @@ class EntailmentStats:
         self.misses = 0           # required exact-backend work
         self.eliminations = 0     # eliminate/minimize/DD-conversion invocations
         self.fm_eliminations = 0  # Fourier-Motzkin eliminate_all invocations
-        self.cap_blowups = 0      # projections killed by the constraint cap
+        self.cap_blowups = 0      # eliminations past the FM constraint cap
 
     def hit_rate(self) -> float:
         """Fraction of queries answered without any elimination."""
@@ -154,58 +141,6 @@ class EntailmentStats:
                 f"misses={self.misses}, eliminations={self.eliminations})")
 
 
-class DomainBackend:
-    """Interface of an exact abstract-domain backend under the engine.
-
-    Every method must be *exact* over the rationals: different backends are
-    interchangeable precisely because they can never disagree on a decision
-    query.  Representation-producing operations (:meth:`project`) feed
-    context reconstruction, so their byte-level output is part of the
-    reproducibility contract (see ``tests/test_domain_identity.py``).
-    """
-
-    name = "abstract"
-    #: Whether :meth:`EntailmentEngine.entails_many` should pre-project the
-    #: context onto the union of the query variables (worth it when queries
-    #: re-run an eliminator; pointless when the backend caches a generator
-    #: representation per context).
-    batch_by_projection = True
-
-    def attach(self, engine: "EntailmentEngine") -> None:
-        self.engine = engine
-
-    def is_feasible(self, facts: Sequence[LinExpr], key: FactKey) -> bool:
-        raise NotImplementedError
-
-    def minimize(self, objective: LinExpr, facts: Sequence[LinExpr],
-                 key: FactKey) -> Coeff:
-        """``inf { objective | facts }``; raises ``Infeasible``/``Unbounded``."""
-        raise NotImplementedError
-
-    def project(self, facts: Sequence[LinExpr],
-                keep: FrozenSet[str]) -> Tuple[LinExpr, ...]:
-        """Exact projection onto ``keep``; raises ``Infeasible``."""
-        raise NotImplementedError
-
-    def assign(self, facts: Sequence[LinExpr], key: FactKey, var: str,
-               rhs: LinExpr, low_shift: Coeff,
-               high_shift: Coeff) -> Tuple[LinExpr, ...]:
-        """Strongest postcondition of ``var := rhs + [low_shift, high_shift]``.
-
-        Must return the *canonical minimal* constraint system of the
-        result region (the :meth:`Polyhedron.constraints
-        <repro.logic.polyhedra.Polyhedron.constraints>` normal form):
-        context fact tuples seed base-function atoms and appear verbatim
-        in certificates, so the byte-level output is part of the
-        cross-domain reproducibility contract.  Raises ``Infeasible`` for
-        unreachable results.
-        """
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop any backend-private caches (engine.clear() calls this)."""
-
-
 def assign_system(facts: Sequence[LinExpr], var: str, rhs: LinExpr,
                   low_shift: Coeff, high_shift: Coeff
                   ) -> Tuple[List[LinExpr], FrozenSet[str]]:
@@ -213,8 +148,7 @@ def assign_system(facts: Sequence[LinExpr], var: str, rhs: LinExpr,
 
     The old value of ``var`` is renamed to a fresh symbol, the defining
     (in)equalities ``rhs + low <= var' <= rhs + high`` are added, and the
-    caller projects the fresh symbol away.  Shared by every backend so the
-    encoded relation (and thus the result region) is identical.
+    caller projects the fresh symbol away.
     """
     old = f"__old_{var}__"
     renamed = [fact.substitute(var, LinExpr.var(old)) for fact in facts]
@@ -227,17 +161,27 @@ def assign_system(facts: Sequence[LinExpr], var: str, rhs: LinExpr,
     return renamed, keep
 
 
-class FourierMotzkinBackend(DomainBackend):
-    """The default backend: cached Fourier-Motzkin elimination.
+class FourierMotzkinBackend:
+    """The exact backend: cached Fourier-Motzkin elimination.
 
     Minimisation projects the context onto the objective's variables first
     (through the engine's shared projection cache, so repeated queries over
     the same variables reuse one elimination) and then minimises over the
     much smaller projected system.
+
+    An elimination that blows :data:`~repro.logic.fourier_motzkin.MAX_CONSTRAINTS`
+    is counted in ``cap_blowups`` and that one query is answered from the
+    generator representation (:class:`~repro.logic.polyhedra.Polyhedron`)
+    instead.  Both answers are exact, so the cap never changes a result.
     """
 
     name = FM_DOMAIN
+    #: :meth:`EntailmentEngine.entails_many` pre-projects the context onto
+    #: the union of the query variables (one elimination for the batch).
     batch_by_projection = True
+
+    def attach(self, engine: "EntailmentEngine") -> None:
+        self.engine = engine
 
     def is_feasible(self, facts: Sequence[LinExpr], key: FactKey) -> bool:
         try:
@@ -248,43 +192,70 @@ class FourierMotzkinBackend(DomainBackend):
 
     def minimize(self, objective: LinExpr, facts: Sequence[LinExpr],
                  key: FactKey) -> Coeff:
+        """``inf { objective | facts }``; raises ``Infeasible``/``Unbounded``."""
         projected = self.engine.project(
             facts, frozenset(objective.variables()), key)
         self.engine.stats.eliminations += 1
-        return fm.minimize(objective, projected)
+        try:
+            _fire_cap_fault()
+            return fm.minimize(objective, projected)
+        except fm.ConstraintCapExceeded:
+            self.engine.stats.cap_blowups += 1
+            return Polyhedron.from_facts(projected).minimize(objective)
 
     def project(self, facts: Sequence[LinExpr],
                 keep: FrozenSet[str]) -> Tuple[LinExpr, ...]:
+        """Exact projection onto ``keep``; raises ``Infeasible``."""
         self.engine.stats.fm_eliminations += 1
-        return tuple(fm.eliminate_all(facts, keep=sorted(keep)))
+        try:
+            _fire_cap_fault()
+            return tuple(fm.eliminate_all(facts, keep=sorted(keep)))
+        except fm.ConstraintCapExceeded:
+            self.engine.stats.cap_blowups += 1
+            return Polyhedron.from_facts(facts).project(keep).constraints()
 
     def assign(self, facts: Sequence[LinExpr], key: FactKey, var: str,
                rhs: LinExpr, low_shift: Coeff,
                high_shift: Coeff) -> Tuple[LinExpr, ...]:
-        """FM-project the renamed system, then canonicalise the output.
+        """Strongest postcondition of ``var := rhs + [low_shift, high_shift]``.
 
-        The elimination itself is the classic pairwise one (with the
-        constraint cap; ``ConstraintCapExceeded`` propagates so callers
-        keep their havoc fallback), but the *representation* handed back
-        is the shared polyhedral normal form -- that is what makes this
-        byte-identical to the generator-side ``PolyhedraBackend.assign``.
+        Projects the renamed system, then returns the *canonical minimal*
+        constraint system of the result (the :meth:`Polyhedron.constraints
+        <repro.logic.polyhedra.Polyhedron.constraints>` normal form):
+        context fact tuples seed base-function atoms and appear verbatim in
+        certificates, so they must depend on the region alone, not on how
+        the projection was computed.  Raises ``Infeasible`` for unreachable
+        results.
         """
-        from repro.logic.polyhedra import canonical_constraints
-
         renamed, keep = assign_system(facts, var, rhs, low_shift, high_shift)
         projected = self.engine.project(renamed, keep)
         return canonical_constraints(projected)
 
+    def clear(self) -> None:
+        """No backend-private caches (the engine owns them all)."""
+
+
+def _fire_cap_fault() -> None:
+    """The ``fm-cap`` fault-injection site of every elimination.
+
+    Lets tests force a constraint-cap blowup on the cold path without
+    crafting a pathological program.  Cheap no-op unless a fault registry
+    is installed.
+    """
+    from repro.service import faults
+
+    faults.fire("fm.eliminate", FM_DOMAIN)
+
 
 class EntailmentEngine:
-    """Per-domain cache + fast paths fronting an exact backend."""
+    """Caches + fast paths fronting an exact backend."""
 
     #: Clear a cache wholesale once it grows past this many entries; the
     #: contexts of one program are small, so in practice this only guards
     #: long-running multi-program processes.
     MAX_ENTRIES = 200_000
 
-    def __init__(self, backend: Optional[DomainBackend] = None) -> None:
+    def __init__(self, backend: Optional[FourierMotzkinBackend] = None) -> None:
         self.backend = backend if backend is not None else FourierMotzkinBackend()
         self.backend.attach(self)
         self.stats = EntailmentStats()
@@ -305,11 +276,6 @@ class EntailmentEngine:
         self._norm_index: Dict[FactKey, Dict[Tuple, Coeff]] = {}
 
     # -- maintenance ------------------------------------------------------
-
-    @property
-    def domain(self) -> str:
-        """Name of the abstract-domain backend answering cold queries."""
-        return self.backend.name
 
     def clear(self) -> None:
         """Drop every cached result (statistics are kept)."""
@@ -378,8 +344,9 @@ class EntailmentEngine:
         if pending:
             self.stats.misses += len(pending)
             if not self.backend.batch_by_projection:
-                # The backend answers point queries cheaply (e.g. from a
-                # cached generator representation): no shared projection.
+                # The backend answers point queries cheaply (the test
+                # oracle's cached generator representation): no shared
+                # projection.
                 for index in pending:
                     results[index] = self._entails_impl(facts, key,
                                                         queries[index],
@@ -477,8 +444,7 @@ class EntailmentEngine:
         """Cached exact projection of ``facts`` onto the ``keep`` variables.
 
         Raises :class:`~repro.logic.fourier_motzkin.Infeasible` for
-        unsatisfiable systems (also on cache hits).  ``MemoryError`` from the
-        constraint cap is never cached and propagates to the caller.
+        unsatisfiable systems (also on cache hits).
         """
         if key is None:
             key = frozenset(facts)
@@ -489,22 +455,11 @@ class EntailmentEngine:
                 raise fm.Infeasible()
             return cached  # type: ignore[return-value]
         self.stats.eliminations += 1
-        # Fault-injection site: lets the chaos suite force a constraint-cap
-        # blowup on the cold path without crafting a pathological program.
-        # Cheap no-op unless a fault registry is installed.
-        from repro.service import faults
-
         try:
-            faults.fire("engine.project", self.domain)
             projected = self.backend.project(facts, keep)
         except fm.Infeasible:
             self._guard(self._projection_cache)
             self._projection_cache[cache_key] = _INFEASIBLE
-            raise
-        except MemoryError:
-            # Constraint-cap blowups are counted but never cached: the same
-            # query may succeed under another backend or a smaller context.
-            self.stats.cap_blowups += 1
             raise
         self._guard(self._projection_cache)
         self._projection_cache[cache_key] = projected
@@ -590,7 +545,7 @@ class EntailmentEngine:
 
         Order is reproducible: ``facts`` first (in order), then the facts
         unique to ``other_facts`` (in order) -- context construction relies
-        on this being independent of the backend.
+        on this.
         """
         kept = [fact for fact, ok
                 in zip(facts, self.entails_many(other_facts, facts, other_key))
@@ -616,15 +571,10 @@ class EntailmentEngine:
                key: Optional[FactKey] = None) -> Tuple[LinExpr, ...]:
         """Strongest postcondition of ``var := rhs + [low_shift, high_shift]``.
 
-        Delegated to the backend (see :meth:`DomainBackend.assign`): the
-        Fourier-Motzkin backend renames the old value of ``var`` to a
-        fresh symbol and projects it away, the polyhedra backend applies
-        the assignment to the generator representation directly.  Both
-        return the *canonical minimal* constraint system of the result, so
-        the output is byte-identical across backends.  Raises
-        :class:`~repro.logic.fourier_motzkin.Infeasible` for unreachable
-        results; ``MemoryError`` from the eliminator's constraint cap
-        propagates (callers fall back to ``havoc``) and is never cached.
+        Delegated to the backend (see :meth:`FourierMotzkinBackend.assign`),
+        which returns the *canonical minimal* constraint system of the
+        result.  Raises :class:`~repro.logic.fourier_motzkin.Infeasible`
+        for unreachable results.
         """
         if key is None:
             key = frozenset(facts)
@@ -778,10 +728,9 @@ _ACTIVE_PREFILTER: Optional[bool] = None
 def resolve_prefilter(value) -> bool:
     """Normalise a pre-filter setting (bool, ``"on"``/``"off"``, ``None``).
 
-    ``None`` resolves to the *active* setting (mirroring
-    :func:`resolve_domain`), so an analysis without an explicit choice
-    inherits an enclosing :func:`use_prefilter` block or the process
-    default.
+    ``None`` resolves to the *active* setting, so an analysis without an
+    explicit choice inherits an enclosing :func:`use_prefilter` block or
+    the process default.
     """
     if value is None:
         return active_prefilter()
@@ -805,7 +754,7 @@ def default_prefilter() -> bool:
 
 
 def active_prefilter() -> bool:
-    """Whether the interval tier currently fronts the exact backends."""
+    """Whether the interval tier currently fronts the exact backend."""
     return (_ACTIVE_PREFILTER if _ACTIVE_PREFILTER is not None
             else default_prefilter())
 
@@ -828,146 +777,61 @@ def use_prefilter(enabled: Optional[bool]) -> Iterator[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Backend registry and per-domain engines
+# The process-wide engine
 # ---------------------------------------------------------------------------
 
-def _polyhedra_backend() -> DomainBackend:
-    from repro.logic.polyhedra import PolyhedraBackend
-
-    return PolyhedraBackend()
+#: The engine every ``Context`` operation uses, created lazily.
+_ENGINE: Optional[EntailmentEngine] = None
 
 
-#: Registered backend factories, keyed by domain name.
-_BACKEND_FACTORIES: Dict[str, Callable[[], DomainBackend]] = {
-    FM_DOMAIN: FourierMotzkinBackend,
-    "polyhedra": _polyhedra_backend,
-}
+def get_engine(domain: str = FM_DOMAIN) -> EntailmentEngine:
+    """The process-wide engine.
 
-#: One engine per domain, created lazily.
-_ENGINES: Dict[str, EntailmentEngine] = {}
-
-#: The domain a bare ``get_engine()`` resolves to; ``None`` = process default.
-_ACTIVE_DOMAIN: Optional[str] = None
-
-
-def register_backend(name: str,
-                     factory: Callable[[], DomainBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    _BACKEND_FACTORIES[name] = factory
-
-
-def available_domains() -> Tuple[str, ...]:
-    """The selectable abstract-domain backends, default first."""
-    names = sorted(_BACKEND_FACTORIES)
-    names.remove(FM_DOMAIN)
-    return (FM_DOMAIN, *names)
-
-
-def default_domain() -> str:
-    """The process-default domain: ``$REPRO_DOMAIN`` or ``fm``."""
-    return os.environ.get(DOMAIN_ENV) or FM_DOMAIN
-
-
-def resolve_domain(domain: Optional[str]) -> str:
-    """Validate a domain name (``None`` = the active domain)."""
-    name = domain if domain is not None else active_domain()
-    if name not in _BACKEND_FACTORIES:
-        raise ValueError(
-            f"unknown abstract domain {name!r}; "
-            f"available: {', '.join(available_domains())}")
-    return name
-
-
-def active_domain() -> str:
-    """The domain bare ``get_engine()`` calls currently resolve to."""
-    return _ACTIVE_DOMAIN if _ACTIVE_DOMAIN is not None else default_domain()
-
-
-def set_active_domain(domain: Optional[str]) -> str:
-    """Switch the active domain; returns the previously active name."""
-    global _ACTIVE_DOMAIN
-    previous = active_domain()
-    _ACTIVE_DOMAIN = resolve_domain(domain) if domain is not None else None
-    return previous
-
-
-@contextmanager
-def use_domain(domain: Optional[str]) -> Iterator[EntailmentEngine]:
-    """Run a block with ``domain`` active (restored on exit).
-
-    The analyzer pipeline wraps each analysis in this, so a per-job
-    ``domain`` option cannot leak into the next job in the same process.
+    ``domain`` names the backend, for callers that pass what a job result
+    records (:func:`repro.service.jobs.job_domain`); ``"fm"`` is the only
+    one.
     """
-    name = resolve_domain(domain)
-    global _ACTIVE_DOMAIN
-    saved = _ACTIVE_DOMAIN
-    _ACTIVE_DOMAIN = name
-    try:
-        yield get_engine(name)
-    finally:
-        _ACTIVE_DOMAIN = saved
-
-
-def get_engine(domain: Optional[str] = None) -> EntailmentEngine:
-    """The process-wide engine of ``domain`` (default: the active domain)."""
-    name = resolve_domain(domain)
-    engine = _ENGINES.get(name)
-    if engine is None:
-        engine = EntailmentEngine(_BACKEND_FACTORIES[name]())
-        _ENGINES[name] = engine
-    return engine
-
-
-def clear_cache(domain: Optional[str] = None) -> None:
-    """Drop all cached entailment results (useful between experiments)."""
-    get_engine(domain).clear()
-
-
-def reset_stats(domain: Optional[str] = None) -> None:
-    """Reset the hit/miss statistics of one process-wide engine."""
-    get_engine(domain).reset_stats()
+    if domain != FM_DOMAIN:
+        raise ValueError(f"unknown abstract domain {domain!r}; "
+                         f"the only one is {FM_DOMAIN!r}")
+    global _ENGINE
+    if _ENGINE is None:
+        _ENGINE = EntailmentEngine()
+    return _ENGINE
 
 
 # -- per-process lifecycle hooks (used by repro.service.scheduler) ----------
 
-def reset_engine(domain: Optional[str] = None) -> EntailmentEngine:
-    """Install brand-new engine instances and return the active one.
+def reset_engine() -> EntailmentEngine:
+    """Install a brand-new engine and return it.
 
     Worker processes call this from their initializer: a forked worker
-    inherits the parent's engine objects, and fresh instances both drop
-    that inherited state and guarantee that nothing the worker computes
+    inherits the parent's engine object, and a fresh instance both drops
+    that inherited state and guarantees that nothing the worker computes
     can leak back into (or appear to come from) the parent's caches.
-
-    With a ``domain`` only that backend's engine is replaced; without one
-    the whole registry is dropped (every backend starts cold), which is
-    what a worker that may serve jobs of either domain wants.
     """
-    if domain is not None:
-        name = resolve_domain(domain)
-        _ENGINES[name] = EntailmentEngine(_BACKEND_FACTORIES[name]())
-        return _ENGINES[name]
-    _ENGINES.clear()
-    return get_engine()
+    global _ENGINE
+    _ENGINE = EntailmentEngine()
+    return _ENGINE
 
 
-def engine_stats(domain: Optional[str] = None) -> Dict[str, object]:
-    """One engine's counters as a dict, including the per-tier breakdown.
+def engine_stats() -> Dict[str, object]:
+    """The engine's counters as a dict, including the per-tier breakdown.
 
     The ``tiers`` entry partitions answered queries by the tier that
     decided them (``memo`` -> ``syntactic`` -> ``interval`` -> ``exact``);
     ``prefilter`` records whether the interval tier is currently active.
     """
-    data = get_engine(domain).stats.as_dict()
+    data = get_engine().stats.as_dict()
     data["prefilter"] = active_prefilter()
     return data
 
 
-def engine_fingerprint(domain: Optional[str] = None) -> Dict[str, object]:
-    """Identity + cache occupancy of one engine (for isolation tests)."""
-    engine = get_engine(domain)
+def engine_fingerprint() -> Dict[str, object]:
+    """Identity + cache occupancy of the engine (for isolation tests)."""
+    engine = get_engine()
     return {
         "pid": os.getpid(),
-        "domain": engine.domain,
         "engine_id": id(engine),
         "queries": engine.stats.queries,
         "eliminations": engine.stats.eliminations,
@@ -976,21 +840,18 @@ def engine_fingerprint(domain: Optional[str] = None) -> Dict[str, object]:
     }
 
 
-def warm_engine(domain: Optional[str] = None) -> EntailmentEngine:
+def warm_engine() -> EntailmentEngine:
     """Pay per-process one-time costs up front; return the warm engine.
 
     Importing the LP stack and exercising one tiny end-to-end query moves
     module-import and first-touch costs out of the first real job, so
     per-job wall times measured in a worker are comparable to a warm
-    sequential process.  The warm-up is backend-aware: the query runs
-    through the *named* domain's engine (default: the active domain), so a
-    worker pool configured for ``polyhedra`` jobs warms the polyhedra
-    backend instead of silently warming the default one.
+    sequential process.
     """
     import repro.core.solver          # noqa: F401  (scipy import)
     import repro.lang.parser          # noqa: F401
 
-    engine = get_engine(domain)
+    engine = get_engine()
     x = LinExpr({"x": 1})
     engine.entails((x,), x)
     engine.clear()

@@ -37,13 +37,10 @@ class Unbounded(Exception):
 class ConstraintCapExceeded(MemoryError):
     """Elimination blew past :data:`MAX_CONSTRAINTS`.
 
-    Subclasses :class:`MemoryError` so existing resource-exhaustion
-    handlers (``Context.assign`` havocs the variable) keep working, while
-    letting the service layer recognise the blowup specifically: the
-    analysis pipeline reports it as the structured ``resource-limit``
-    failure kind, and the scheduler's degradation ladder retries the job
-    under the ``polyhedra`` backend, which answers the same queries without
-    a cap.
+    The entailment engine's backend catches it and answers that query from
+    the generator representation instead
+    (:class:`repro.logic.entailment.FourierMotzkinBackend`).  Subclasses
+    :class:`MemoryError`: it is a resource limit, not an answer.
     """
 
 

@@ -10,11 +10,10 @@ alone provably give the exact backend's answer** and return
 :data:`UNDECIDED` otherwise.
 
 That "decided answers equal the exact answer" discipline is what lets the
-:class:`~repro.logic.entailment.EntailmentEngine` front both exact
-backends (Fourier-Motzkin and the DD polyhedra) with this tier and still
-keep the registry-wide byte-identity invariant: memo caches can be shared
-between pre-filter on and off because a decided answer never differs from
-the cold one.  Concretely:
+:class:`~repro.logic.entailment.EntailmentEngine` front its exact backend
+with this tier and still keep the registry-wide byte-identity invariant:
+memo caches can be shared between pre-filter on and off because a decided
+answer never differs from the cold one.  Concretely:
 
 * only *single-variable* facts ``a*x + c >= 0`` contribute bounds; the
   box therefore always **contains** the context's region (it is a sound
@@ -32,8 +31,8 @@ the cold one.  Concretely:
 
 The decision rules (see each method) use only those facts, so every
 decided answer is a theorem about the exact region --
-``tests/test_domain_differential.py`` checks this against both exact
-backends over randomized systems.
+``tests/test_domain_differential.py`` checks this against Fourier-Motzkin
+and the test suite's polyhedra oracle over randomized systems.
 """
 
 from __future__ import annotations

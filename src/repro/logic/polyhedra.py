@@ -1,9 +1,9 @@
-"""Exact rational polyhedra: the second abstract-domain backend.
+"""Exact rational polyhedra: the canonical constraint form and the cap path.
 
-This module implements a convex-polyhedra abstract domain in the style of
-the Apron/PPL libraries, entirely in exact rational arithmetic (primitive
-integer vectors, :class:`fractions.Fraction` only inside a combination) so
-every answer is exact (no widening-by-rounding, no floating point anywhere):
+This module implements convex polyhedra in the style of the Apron/PPL
+libraries, entirely in exact rational arithmetic (primitive integer
+vectors, :class:`fractions.Fraction` only inside a combination) so every
+answer is exact (no widening-by-rounding, no floating point anywhere):
 
 * a :class:`Polyhedron` keeps the classic *dual representation*: the
   constraint side (a conjunction of ``e >= 0`` facts) and the generator
@@ -21,22 +21,19 @@ every answer is exact (no widening-by-rounding, no floating point anywhere):
   row-echelon basis, inequalities are reduced modulo that basis, normalised
   and sorted.
 
-:class:`PolyhedraBackend` adapts the domain to the
-:class:`~repro.logic.entailment.EntailmentEngine` backend interface, caching
-one constructed polyhedron per context so repeated queries against the same
-context cost one generator enumeration in total.  Select it with
-``--domain polyhedra`` (or ``REPRO_DOMAIN=polyhedra``); the Fourier-Motzkin
-backend remains the default.  Both backends are exact, so every decision
-query must agree -- ``tests/test_domain_differential.py`` asserts exactly
-that over randomized inequality systems.
+The Fourier-Motzkin backend (:mod:`repro.logic.entailment`) uses this
+module twice: every ``assign`` result is put into the canonical form
+(:func:`canonical_constraints`), and a query whose elimination blows the
+eliminator's constraint cap is answered here instead.  The test suite
+builds a complete polyhedra-backed engine on top of :class:`Polyhedron`
+and checks that it agrees with Fourier-Motzkin on every query.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import fourier_motzkin as fm
 from repro.utils.linear import LinExpr
@@ -321,86 +318,7 @@ class Polyhedron:
         except fm.Unbounded:
             return False
 
-    def contains(self, state: Dict[str, Coeff]) -> bool:
-        """Membership of a concrete point (used by the differential tests)."""
-        if self.is_empty():
-            return False
-        facts = self.constraints()
-        return all(fact.evaluate(state) >= 0 for fact in facts)
-
     # -- conversions -------------------------------------------------------
-
-    def extend(self, variables: Iterable[str]) -> "Polyhedron":
-        """Embed into the space over ``variables`` (a superset of ours).
-
-        New coordinates are unconstrained: each is added as a full line,
-        and existing generators get zero entries in the new columns.
-        """
-        names = sorted(set(variables) | set(self.variables))
-        if tuple(names) == self.variables:
-            return self
-        column = {var: i for i, var in enumerate(self.variables)}
-        dim = len(names) + 1
-        positions = [column.get(var) for var in names] + [len(self.variables)]
-
-        def grow(vector: Vector) -> Vector:
-            return tuple(_ZERO if source is None else vector[source]
-                         for source in positions)
-
-        lines = [grow(line) for line in self.lines]
-        lines.extend(_unit(dim, i) for i, var in enumerate(names)
-                     if var not in column)
-        return Polyhedron(tuple(names), lines,
-                          [grow(ray) for ray in self.rays])
-
-    def assign(self, var: str, rhs: LinExpr, low_shift: Coeff = _ZERO,
-               high_shift: Coeff = _ZERO) -> "Polyhedron":
-        """Image under ``var := rhs + [low_shift, high_shift]`` -- no FM.
-
-        The affine substitution is applied to the generators directly (the
-        image of a polyhedron's generators generates the image), then the
-        nondeterministic shift is a Minkowski sum with the segment
-        ``[low_shift, high_shift]`` along the ``var`` axis: each vertex
-        splits into its two shifted endpoints, recession rays and lines
-        pass through the (shift-invariant) linear part unchanged.
-        """
-        extended = self.extend(set(rhs.variables()) | {var})
-        names = extended.variables
-        index = names.index(var)
-        column = {name: i for i, name in enumerate(names)}
-        coeffs = [(column[name], coeff) for name, coeff in rhs.coeff_items]
-        constant = rhs.const_term
-
-        def image(vector: Vector) -> Vector:
-            # The homogenising coordinate scales the constant term; for
-            # lines and recession rays it is zero, so they map linearly.
-            value = sum((coeff * vector[i] for i, coeff in coeffs), _ZERO)
-            value += constant * vector[-1]
-            return vector[:index] + (value,) + vector[index + 1:]
-
-        lines = []
-        seen: Set[Vector] = set()
-        for line in extended.lines:
-            mapped = _primitive(image(line))
-            if any(value != 0 for value in mapped) and mapped not in seen \
-                    and tuple(-v for v in mapped) not in seen:
-                seen.add(mapped)
-                lines.append(mapped)
-        rays = []
-        seen_rays: Set[Vector] = set()
-        for ray in extended.rays:
-            mapped = image(ray)
-            shifts = ({low_shift, high_shift} if ray[-1] > 0 else {_ZERO})
-            for shift in shifts:
-                shifted = mapped[:index] \
-                    + (mapped[index] + shift * ray[-1],) \
-                    + mapped[index + 1:]
-                small = _primitive(shifted)
-                if any(value != 0 for value in small) \
-                        and small not in seen_rays:
-                    seen_rays.add(small)
-                    rays.append(small)
-        return Polyhedron(names, lines, rays)
 
     def project(self, keep: Iterable[str]) -> "Polyhedron":
         """Project onto the ``keep`` variables (generator-side: drop columns)."""
@@ -484,7 +402,7 @@ class Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# The EntailmentEngine backend
+# The canonical constraint form
 # ---------------------------------------------------------------------------
 
 def canonical_constraints(facts: Iterable[LinExpr]) -> Tuple[LinExpr, ...]:
@@ -492,94 +410,11 @@ def canonical_constraints(facts: Iterable[LinExpr]) -> Tuple[LinExpr, ...]:
 
     One primal DD conversion plus one dual conversion; the output is the
     :meth:`Polyhedron.constraints` normal form, which depends only on the
-    described *point set* -- every backend funnels representation-producing
-    results (``Context.assign``) through this form, which is what makes
-    context fact tuples (and therefore base-function atoms and
-    certificates) byte-identical across backends and pre-filter settings.
+    described *point set* -- representation-producing results
+    (``Context.assign``) go through this form, which is what makes context
+    fact tuples (and therefore base-function atoms and certificates)
+    independent of how a projection was computed (eliminator, cap path,
+    pre-filter setting).
     Raises :class:`~repro.logic.fourier_motzkin.Infeasible` when empty.
     """
     return Polyhedron.from_facts(facts).constraints()
-
-
-class PolyhedraBackend:
-    """Adapts :class:`Polyhedron` to the entailment-engine backend interface.
-
-    Decision queries (feasibility, entailment, exact lower bounds) run on
-    the generator representation: the polyhedron of a context is built once
-    (one Chernikova conversion), cached under the context's fact key, and
-    every further query is a generator enumeration.
-
-    Representation-producing operations never touch the Fourier-Motzkin
-    eliminator: ``assign`` applies the affine substitution to the cached
-    generators (:meth:`Polyhedron.assign`) and projection drops generator
-    columns, so dense contexts that drive FM into its constraint cap cost
-    one generator pass here.  Both operations emit the canonical
-    constraint normal form (:meth:`Polyhedron.constraints`), the same form
-    the FM backend canonicalises its eliminations into -- the registry-wide
-    bound/certificate identity in ``tests/test_domain_identity.py`` pins
-    that the two backends stay byte-identical.
-    """
-
-    name = "polyhedra"
-    #: The engine may batch ``entails_many`` through one shared projection;
-    #: the polyhedron cache makes that pointless here (queries are cheap
-    #: once the polyhedron exists), so answer point-wise instead.
-    batch_by_projection = False
-    #: Caches are cleared wholesale past this size (mirrors the engine cap).
-    MAX_ENTRIES = 50_000
-
-    def __init__(self, engine=None) -> None:
-        self.engine = engine
-        self._polyhedra: Dict[FrozenSet[LinExpr], Polyhedron] = {}
-
-    def attach(self, engine) -> None:
-        self.engine = engine
-
-    # -- polyhedron cache --------------------------------------------------
-
-    def polyhedron_for(self, facts: Sequence[LinExpr],
-                       key: FrozenSet[LinExpr]) -> Polyhedron:
-        polyhedron = self._polyhedra.get(key)
-        if polyhedron is None:
-            if self.engine is not None:
-                self.engine.stats.eliminations += 1
-            polyhedron = Polyhedron.from_facts(facts)
-            if len(self._polyhedra) > self.MAX_ENTRIES:
-                self._polyhedra.clear()
-            self._polyhedra[key] = polyhedron
-        return polyhedron
-
-    # -- backend interface -------------------------------------------------
-
-    def is_feasible(self, facts: Sequence[LinExpr],
-                    key: FrozenSet[LinExpr]) -> bool:
-        return not self.polyhedron_for(facts, key).is_empty()
-
-    def minimize(self, objective: LinExpr, facts: Sequence[LinExpr],
-                 key: FrozenSet[LinExpr]) -> Coeff:
-        return self.polyhedron_for(facts, key).minimize(objective)
-
-    def project(self, facts: Sequence[LinExpr],
-                keep: FrozenSet[str]) -> Tuple[LinExpr, ...]:
-        """Generator-side projection, in the canonical constraint form."""
-        polyhedron = Polyhedron.from_facts(facts)
-        if self.engine is not None:
-            self.engine.stats.eliminations += 1
-        return polyhedron.project(keep).constraints()
-
-    def assign(self, facts: Sequence[LinExpr], key: FrozenSet[LinExpr],
-               var: str, rhs: LinExpr, low_shift: Coeff,
-               high_shift: Coeff) -> Tuple[LinExpr, ...]:
-        """Strongest postcondition from the generator side -- zero FM work.
-
-        Reuses the context's cached polyhedron, so a fixpoint that assigns
-        under the same context repeatedly pays one Chernikova conversion
-        for the context plus one dual conversion per distinct assignment.
-        Raises :class:`~repro.logic.fourier_motzkin.Infeasible` when the
-        result is empty (unreachable), like the FM path.
-        """
-        polyhedron = self.polyhedron_for(facts, key)
-        return polyhedron.assign(var, rhs, low_shift, high_shift).constraints()
-
-    def clear(self) -> None:
-        self._polyhedra.clear()

@@ -1,16 +1,17 @@
 """Deterministic, seeded fault injection for the service layer.
 
 The supervision machinery of :mod:`repro.service.scheduler` (pool rebuild,
-retry/backoff, poison-job quarantine, the degradation ladder) and the store
+retry/backoff, poison-job quarantine, the degradation ladder), the store
 hardening of :mod:`repro.service.store` (quarantine, checksums, crash-safe
-writes) only earn their keep if they can be *exercised*: a fault that cannot
+writes) and the entailment backend's constraint-cap path only earn their
+keep if they can be *exercised*: a fault that cannot
 be reproduced cannot be tested, and a chaos run whose faults move around
 between invocations cannot assert anything about recovery.  This module is
 the single switchboard for injecting infrastructure faults into otherwise
 untouched product code paths:
 
 * product code calls :func:`fire` at a handful of **sites** (worker job
-  entry, store read/write, engine projection).  With no registry installed
+  entry, store read/write, Fourier-Motzkin elimination).  With no registry installed
   the call is a cheap no-op -- production never pays more than one ``is
   None`` check per site;
 * tests and the CI chaos leg install a :class:`FaultRegistry` (directly via
@@ -38,9 +39,9 @@ kind                site             effect
 ``store-write-slow`` ``store.put``   sleep ``duration`` seconds, then write
 ``store-kill``      ``store.put``    leave a partial temp file behind (as a
                                      kill -9 mid-write would) and raise
-``fm-cap``          ``engine.project`` raise
+``fm-cap``          ``fm.eliminate`` raise
                                      :class:`~repro.logic.fourier_motzkin.ConstraintCapExceeded`
-                                     (exercises the domain-fallback rung)
+                                     (exercises the backend's cap path)
 =================== ================ ==========================================
 
 ``$REPRO_FAULTS`` grammar (semicolon-separated specs, comma-separated
@@ -76,7 +77,7 @@ SITE_KINDS: Dict[str, Tuple[str, ...]] = {
     "worker": ("worker-crash", "worker-hang"),
     "store.get": ("store-corrupt",),
     "store.put": ("store-write-fail", "store-write-slow", "store-kill"),
-    "engine.project": ("fm-cap",),
+    "fm.eliminate": ("fm-cap",),
 }
 
 _KIND_SITE: Dict[str, str] = {kind: site
@@ -114,9 +115,8 @@ class FaultSpec:
     #: from the registry seed.
     probability: float = 1.0
     #: Substring filter on the site key ("" = every key).  Worker keys are
-    #: ``<job_hash>:<attempt>``, store keys are the record hash, engine keys
-    #: are the active domain name -- so a spec can target one job, one
-    #: attempt, or one backend.
+    #: ``<job_hash>:<attempt>``, store keys are the record hash, elimination
+    #: keys are ``fm`` -- so a spec can target one job or one attempt.
     match: str = ""
     #: Stop firing after this many activations in this process (None = no
     #: limit).  Counted per process; forked workers inherit the parent's

@@ -147,12 +147,8 @@ class AnalysisGateway:
                       if hot_cache_size > 0 else None)
         self._pool: Optional[SupervisedPool] = None
         if workers >= 1:
-            domains = ()
-            default_domain = self.default_options.get("domain")
-            if default_domain:
-                domains = (str(default_domain),)
             self._pool = SupervisedPool(workers, timeout=timeout,
-                                        policy=retry, domains=domains)
+                                        policy=retry)
         # Dispatcher threads bridge the event loop to the blocking pool
         # (or run jobs inline when workers=0); sized to the pool so a
         # submitted job always has a worker seat.
@@ -567,7 +563,7 @@ class AnalysisGateway:
         }
 
     def _handle_health(self) -> Dict[str, object]:
-        from repro.logic.entailment import active_domain, engine_fingerprint
+        from repro.logic.entailment import engine_fingerprint
         from repro.service import faults
         from repro.service.jobs import SCHEMA_VERSION
 
@@ -587,7 +583,7 @@ class AnalysisGateway:
             "store": ({"root": self.store.root,
                        "quarantine_records": self.store.quarantine_count()}
                       if self.store is not None else None),
-            "engine": engine_fingerprint(active_domain()),
+            "engine": engine_fingerprint(),
             "faults": faults.describe(),
         }
 

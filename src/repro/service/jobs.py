@@ -34,6 +34,7 @@ from repro.core.analyzer import AnalysisResult, AnalyzerConfig, analyze_source
 from repro.core.bounds import ExpectedBound
 from repro.core.certificates import Certificate
 from repro.lang.errors import ParseError
+from repro.logic.entailment import FM_DOMAIN
 from repro.utils.linear import LinExpr
 from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 
@@ -73,12 +74,15 @@ from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 #: ``kind``/``reuse_ratio``/``*_added``/``constraints_extended``/
 #: ``constraints_reused``/``solved`` keys, and degree-2 certificates change
 #: (the LP columns are in a new order); v10 records read as misses.
-SCHEMA_VERSION = 11
+#: v12: the ``domain`` option and ``JobResult.domain`` are gone (one
+#: exact entailment backend), so jobs no longer carry a stamped domain and
+#: v11 records read as misses.
+SCHEMA_VERSION = 12
 
 #: Statuses a job can end in.  ``ok``/``no-bound``/``parse-error`` are
 #: deterministic outcomes of the job's content and therefore cacheable;
 #: ``analysis-error`` and ``resource-limit`` may be environment-dependent
-#: (e.g. the constraint cap) and ``timeout``/``cancelled``/``error``
+#: (e.g. running out of memory) and ``timeout``/``cancelled``/``error``
 #: describe the run, not the job.
 CACHEABLE_STATUSES = frozenset({"ok", "no-bound", "parse-error",
                                 "lint-error"})
@@ -127,30 +131,18 @@ class AnalysisJob:
     @classmethod
     def create(cls, name: str, source: str,
                options: Optional[Dict[str, object]] = None) -> "AnalysisJob":
-        """Build a job, resolving the abstract domain *now*.
+        """Build a job from its name, source text and analyzer options.
 
         Option keys must be :class:`~repro.core.analyzer.AnalyzerConfig`
         fields; any other key raises ``ValueError`` naming it, so front
         ends answer a bad request instead of running a job that fails.
-
-        A job without an explicit ``domain`` option is stamped with the
-        currently active domain: the environment default (``$REPRO_DOMAIN``)
-        is a per-process setting, so leaving it out of the job would let two
-        processes with different defaults share one content hash -- and the
-        store would serve one backend's cached results to the other.
-        Stamping at creation keeps hash and execution domain consistent
-        everywhere the job travels (workers, stores, servers).
         """
-        from repro.logic.entailment import active_domain
-
         merged = dict(options or {})
         unknown = sorted(set(merged) - _CONFIG_FIELDS)
         if unknown:
             raise ValueError(
                 f"unknown analyzer option {unknown[0]!r} (known: "
                 f"{', '.join(sorted(_CONFIG_FIELDS))})")
-        if not merged.get("domain"):
-            merged["domain"] = active_domain()
         items = tuple(sorted(merged.items()))
         return cls(name=name, source=source, options=items)
 
@@ -177,20 +169,15 @@ def job_from_file(path: str, options: Optional[Dict[str, object]] = None,
     return AnalysisJob.create(name or path, source, options)
 
 
-def job_from_benchmark(benchmark,
-                       domain: Optional[str] = None) -> AnalysisJob:
+def job_from_benchmark(benchmark) -> AnalysisJob:
     """Turn a registry :class:`~repro.bench.registry.BenchmarkProgram` into a job.
 
     The program AST is printed back to concrete syntax (a bound-preserving
     round trip, see ``tests/test_parser_printer.py``) so the job carries only
-    text and the worker parses it afresh.  ``domain`` pins the job to an
-    abstract-domain backend (None = the process default, stamped by
-    :meth:`AnalysisJob.create`).
+    text and the worker parses it afresh.
     """
-    options = dict(benchmark.analyzer_options)
-    if domain is not None:
-        options["domain"] = domain
-    return AnalysisJob.create(benchmark.name, benchmark.source_text(), options)
+    return AnalysisJob.create(benchmark.name, benchmark.source_text(),
+                              benchmark.analyzer_options)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +267,6 @@ class JobResult:
     message: str = ""
     certificate: Optional[Dict[str, object]] = None
     engine: Dict[str, int] = field(default_factory=dict)
-    #: Abstract-domain backend that produced this result ("" for results
-    #: that never reached the analyzer, e.g. parse errors).
-    domain: str = ""
     worker_pid: int = 0
     #: Per-stage pipeline breakdown (attempted degrees, per-degree build/solve
     #: walls, escalation reuse ratio) -- see
@@ -293,9 +277,8 @@ class JobResult:
     #: and degradation-ladder reruns.
     attempts: int = 1
     #: Degradation provenance (schema v4): empty for first-class results;
-    #: otherwise e.g. ``{"kind": "domain-fallback", "from": "fm",
-    #: "to": "polyhedra", "reason": "resource-limit"}`` or ``{"kind":
-    #: "degree-fallback", "from": 2, "to": 1, "reason": "timeout"}``.
+    #: otherwise ``{"kind": "degree-fallback", "from": 2, "to": 1,
+    #: "reason": "timeout"}``.
     degraded: Dict[str, object] = field(default_factory=dict)
     #: Faults that fired while producing this result (schema v4): a list of
     #: ``{"site", "kind", "key", ...}`` dicts, injected ones from
@@ -317,9 +300,7 @@ class JobResult:
         Degree-fallback results are excluded even when their status is
         cacheable: they were produced under a *reduced* degree limit because
         the environment timed the job out, so a healthier run could do
-        better.  Domain-fallback results stay cacheable -- the exact-backend
-        identity invariant (``tests/test_domain_identity.py``) makes the
-        fallback answer byte-identical to the primary one.
+        better.
         """
         if self.degraded.get("kind") == "degree-fallback":
             return False
@@ -343,15 +324,15 @@ class JobResult:
         fields = {name: record[name] for name in (
             "name", "job_hash", "status", "wall_seconds", "degree", "bound",
             "lp_variables", "lp_constraints", "message", "certificate",
-            "engine", "domain", "worker_pid", "pipeline", "attempts",
+            "engine", "worker_pid", "pipeline", "attempts",
             "degraded", "fault_events", "diagnostics")}
         return cls(**fields)
 
 
 def result_from_analysis(job: AnalysisJob, analysis: AnalysisResult,
                          wall_seconds: float,
-                         engine_delta: Optional[Dict[str, int]] = None,
-                         domain: str = "") -> JobResult:
+                         engine_delta: Optional[Dict[str, int]] = None
+                         ) -> JobResult:
     """Flatten an in-process :class:`AnalysisResult` into a :class:`JobResult`."""
     import os
 
@@ -369,7 +350,6 @@ def result_from_analysis(job: AnalysisJob, analysis: AnalysisResult,
         certificate=(certificate_payload(analysis.certificate)
                      if analysis.certificate else None),
         engine=dict(engine_delta or {}),
-        domain=domain,
         worker_pid=os.getpid(),
         pipeline=analysis.stats.to_dict() if analysis.stats else {},
         diagnostics=[diag.to_dict() for diag in analysis.diagnostics],
@@ -377,23 +357,19 @@ def result_from_analysis(job: AnalysisJob, analysis: AnalysisResult,
 
 
 def job_domain(job: AnalysisJob) -> str:
-    """The abstract domain this job runs under (option or the active one).
+    """The entailment backend every job runs under: Fourier-Motzkin.
 
-    Mirrors the pipeline's own resolution (``use_domain(config.domain)``)
-    so the engine whose statistics are recorded is the engine that actually
-    answered the job's queries.
+    Kept for callers that name the engine whose statistics they record
+    (``get_engine(job_domain(job))``).
     """
-    from repro.logic.entailment import active_domain
-
-    domain = job.options_dict.get("domain")
-    return str(domain) if domain else active_domain()
+    return FM_DOMAIN
 
 
 def run_job(job: AnalysisJob) -> JobResult:
     """Execute one job in this process (the scheduler's worker entry point).
 
-    Never raises for job-content problems: parse errors, unknown domains
-    and analysis failures come back as structured statuses.  Only genuinely
+    Never raises for job-content problems: parse errors and analysis
+    failures come back as structured statuses.  Only genuinely
     unexpected exceptions are folded into an ``error`` result so a bad job
     cannot take the worker down.
     """
@@ -402,12 +378,9 @@ def run_job(job: AnalysisJob) -> JobResult:
     from repro.logic.entailment import get_engine
     from repro.service import faults
 
-    domain = job_domain(job)
     start = time.perf_counter()
     try:
-        # Resolves the domain first so an unknown name fails as a
-        # structured error before any analysis work happens.
-        engine = get_engine(domain)
+        engine = get_engine()
         before = engine.stats.snapshot()
         analysis = analyze_source(job.source, **job.options_dict)
     except ParseError as exc:
@@ -424,6 +397,6 @@ def run_job(job: AnalysisJob) -> JobResult:
                          fault_events=faults.drain_events())
     wall = time.perf_counter() - start
     result = result_from_analysis(job, analysis, wall,
-                                  engine.stats.delta(before), domain=domain)
+                                  engine.stats.delta(before))
     result.fault_events = faults.drain_events()
     return result

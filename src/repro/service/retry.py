@@ -35,9 +35,9 @@ RETRYABLE_STATUSES = frozenset({"worker-lost", "store-error"})
 
 #: Statuses that are properties of the job's content (or of its resource
 #: budget): re-running under the same configuration reproduces them.  The
-#: degradation ladder may still *change the configuration* for some of
-#: these ("resource-limit" retries under polyhedra, "timeout" retries at a
-#: lower degree) -- that is a deliberate one-rung fallback, not a retry.
+#: degradation ladder may still *change the configuration* for one of
+#: these ("timeout" retries at a lower degree) -- that is a deliberate
+#: one-rung fallback, not a retry.
 TERMINAL_STATUSES = frozenset({
     "ok", "no-bound", "parse-error", "analysis-error", "resource-limit",
     "timeout", "cancelled", "error",

@@ -31,14 +31,10 @@ deterministic list of :class:`~repro.service.jobs.JobResult`:
   -- and a suspect that breaks a solo pool twice is quarantined as a
   **poison job** (structured ``error`` result, ``poison-quarantine`` fault
   event) instead of being retried forever;
-* **graceful degradation** -- a job whose analysis blows the Fourier-Motzkin
-  constraint cap (status ``resource-limit``) is re-run once under the
-  ``polyhedra`` backend, which answers the *same* queries without the cap
-  and -- by the exact-backend identity invariant
-  (``tests/test_domain_identity.py``) -- byte-identically.  A job that
-  timed out is re-run once with its degree limit lowered by one.  Every
-  fallback is recorded as provenance in ``JobResult.degraded`` (and counts
-  in ``JobResult.attempts``), never silently;
+* **graceful degradation** -- a job that timed out is re-run once with its
+  degree limit lowered by one.  The fallback is recorded as provenance in
+  ``JobResult.degraded`` (and counts in ``JobResult.attempts``), never
+  silently;
 * **deterministic ordering** -- results always come back in input order, no
   matter which worker finished first, and identical jobs (same content
   hash) are executed only once per batch.
@@ -67,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 # instead of each importing it inside its first job (see ``_pool_context``).
 import repro.core.solver  # noqa: F401
 from repro.service import faults
-from repro.service.jobs import AnalysisJob, JobResult, job_domain, run_job
+from repro.service.jobs import AnalysisJob, JobResult, run_job
 from repro.service.retry import RetryPolicy
 from repro.service.store import ResultStore
 
@@ -76,11 +72,6 @@ from repro.service.store import ResultStore
 #: running), and twice rules out one-off environmental bad luck.
 POISON_SOLO_BREAKS = 2
 
-#: The degradation ladder's domain rung: backends that blow the FM
-#: constraint cap fall back to an exact backend without one.  Sound by the
-#: byte-identity invariant pinned in ``tests/test_domain_identity.py``.
-FALLBACK_DOMAINS = {"fm": "polyhedra"}
-
 
 def default_worker_count() -> int:
     """A sensible default fan-out: physical parallelism minus one, capped."""
@@ -88,36 +79,19 @@ def default_worker_count() -> int:
     return max(1, min(8, cpus - 1))
 
 
-def _worker_init(domains: Sequence[str] = ()) -> None:
-    """Per-process initializer: fresh, pre-warmed entailment engines.
-
-    Backend-aware: the batch's distinct job domains are warmed explicitly,
-    so a pool serving ``polyhedra`` jobs pre-builds that backend's engine
-    instead of silently warming the default one and paying the cold-start
-    inside the first timed job.
+def _worker_init() -> None:
+    """Per-process initializer: a fresh, pre-warmed entailment engine.
 
     Ends by freezing the collector's survivors: the imported modules and
-    the warm engines stay alive for the worker's whole life, so without
+    the warm engine stay alive for the worker's whole life, so without
     the freeze every full collection rescans them.  What later analyses
     leave alive (intern tables, engine memos) is still tracked.
     """
     from repro.logic import entailment
 
     faults.enter_pool_worker()
-    try:
-        entailment.reset_engine()
-    except ValueError:
-        # $REPRO_DOMAIN names an unknown backend: the registry is already
-        # cleared, and every job will report the structured per-job error.
-        # The initializer must not raise -- that would break the whole pool.
-        pass
-    for domain in (domains or (entailment.active_domain(),)):
-        try:
-            entailment.warm_engine(domain)
-        except ValueError:
-            # Unknown domain: the job itself will report the structured
-            # error; warm-up must not take the worker down.
-            continue
+    entailment.reset_engine()
+    entailment.warm_engine()
     gc.collect()
     gc.freeze()
 
@@ -168,8 +142,8 @@ class SchedulerConfig:
     #: Supervision policy for pool breaks (None = :class:`RetryPolicy`
     #: defaults).
     retry: Optional[RetryPolicy] = None
-    #: Apply the graceful-degradation ladder (domain fallback on
-    #: ``resource-limit``, one lower-degree retry on ``timeout``).
+    #: Apply the graceful-degradation ladder (one lower-degree retry on
+    #: ``timeout``).
     degrade: bool = True
 
 
@@ -316,7 +290,7 @@ def _named_for(result: JobResult, job: AnalysisJob) -> JobResult:
 
 def apply_degradation(job: AnalysisJob, result: JobResult,
                       rerun: Callable[[AnalysisJob], JobResult]) -> JobResult:
-    """One rung down the ladder for resource-limit / timeout results.
+    """One rung down the ladder for timeout results.
 
     Applied at most once per job (the re-run's own result is returned with
     provenance attached, never re-laddered), so a systematically hopeless
@@ -325,28 +299,15 @@ def apply_degradation(job: AnalysisJob, result: JobResult,
     through a pool round, the gateway through its long-lived
     :class:`SupervisedPool`.
     """
-    if result.degraded:
+    if result.degraded or result.status != "timeout":
         return result
-    if result.status == "resource-limit":
-        domain = result.domain or job_domain(job)
-        fallback = FALLBACK_DOMAINS.get(domain)
-        if fallback is None:
-            return result
-        options = dict(job.options_dict)
-        options["domain"] = fallback
-        retry_job = AnalysisJob.create(job.name, job.source, options)
-        return _degraded_result(rerun(retry_job), job, result, {
-            "kind": "domain-fallback", "from": domain, "to": fallback,
-            "reason": "resource-limit"})
-    if result.status == "timeout":
-        lowered = _lower_degree_job(job)
-        if lowered is None:
-            return result
-        retry_job, old_degree, new_degree = lowered
-        return _degraded_result(rerun(retry_job), job, result, {
-            "kind": "degree-fallback", "from": old_degree, "to": new_degree,
-            "reason": "timeout"})
-    return result
+    lowered = _lower_degree_job(job)
+    if lowered is None:
+        return result
+    retry_job, old_degree, new_degree = lowered
+    return _degraded_result(rerun(retry_job), job, result, {
+        "kind": "degree-fallback", "from": old_degree, "to": new_degree,
+        "reason": "timeout"})
 
 
 def _apply_degradation(job: AnalysisJob, result: JobResult,
@@ -538,12 +499,10 @@ def _pool_round(jobs: Sequence[AnalysisJob], pool_size: int,
     to triage via their claim files.
     """
     results: List[Optional[JobResult]] = [None] * len(jobs)
-    domains = tuple(sorted({job_domain(job) for job in jobs}))
     executor = ProcessPoolExecutor(
         max_workers=pool_size,
         mp_context=_pool_context(),
-        initializer=_worker_init,
-        initargs=(domains,))
+        initializer=_worker_init)
     overdue = False
     broke = False
     futures = []
@@ -652,12 +611,10 @@ class SupervisedPool:
     """
 
     def __init__(self, workers: int, timeout: Optional[float] = None,
-                 policy: Optional[RetryPolicy] = None,
-                 domains: Sequence[str] = ()) -> None:
+                 policy: Optional[RetryPolicy] = None) -> None:
         self.workers = max(1, workers)
         self.timeout = timeout
         self.policy = policy if policy is not None else RetryPolicy()
-        self.domains = tuple(domains)
         self.rebuilds = 0
         self._lock = threading.Lock()
         self._generation = 0
@@ -674,8 +631,7 @@ class SupervisedPool:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     mp_context=_pool_context(),
-                    initializer=_worker_init,
-                    initargs=(self.domains,))
+                    initializer=_worker_init)
             return self._executor, self._generation
 
     def _rebuild(self, generation: int, terminate: bool = False) -> None:

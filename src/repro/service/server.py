@@ -192,7 +192,7 @@ class AnalysisServer:
 
     def _handle_health(self) -> Dict[str, object]:
         """Liveness/readiness probe: pool config, store and engine state."""
-        from repro.logic.entailment import active_domain, engine_fingerprint
+        from repro.logic.entailment import engine_fingerprint
         from repro.service import faults
         from repro.service.jobs import SCHEMA_VERSION
 
@@ -212,7 +212,7 @@ class AnalysisServer:
             "pool": {"workers": self.workers,
                      "default_options": self.default_options},
             "store": store_state,
-            "engine": engine_fingerprint(active_domain()),
+            "engine": engine_fingerprint(),
             "faults": faults.describe(),
         }
 

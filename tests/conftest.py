@@ -1,11 +1,67 @@
-"""Shared fixtures: small example programs used across the test suite."""
+"""Shared fixtures: small example programs and the polyhedra test oracle."""
 
 from __future__ import annotations
+
+import random
+from typing import Dict, List, NamedTuple
 
 import pytest
 
 from repro.lang import builder as B
 from repro.lang.distributions import Uniform
+from polyhedra_oracle import use_polyhedra_engine
+
+
+@pytest.fixture
+def polyhedra_oracle():
+    """The polyhedra test oracle: ``with polyhedra_oracle(): ...`` runs the
+    block with a fresh polyhedra-backed engine as the process engine."""
+    return use_polyhedra_engine
+
+
+class FuzzCorpus(NamedTuple):
+    """The ``0x5EED`` fuzz programs, their analyses and every LP solved.
+
+    Every program is analysed under ``options``.  ``solves`` holds one ``(system, objective, stage rows, outcome)`` per
+    :meth:`AssembledSystem.solve` call; the outcome is the returned vector,
+    ``None`` (infeasible) or the raised :class:`SolverError`.
+    """
+
+    options: Dict[str, int]
+    programs: List[object]
+    results: List[object]
+    solves: List[tuple]
+
+
+@pytest.fixture(scope="session")
+def fuzz_corpus() -> FuzzCorpus:
+    """The ``0x5EED`` fuzz corpus, analysed once per session with every LP
+    solve captured."""
+    from repro.core.analyzer import analyze_program
+    from repro.core.solver import AssembledSystem, SolverError
+    from test_program_fuzz import PROGRAM_COUNT, random_program
+
+    corpus = FuzzCorpus({"max_degree": 1, "degree_limit": 2}, [], [], [])
+    original = AssembledSystem.solve
+
+    def capture(self, objective=None, extra=()):
+        extra = list(extra)
+        try:
+            values = original(self, objective, extra)
+        except SolverError as exc:
+            corpus.solves.append((self.system, objective, extra, exc))
+            raise
+        corpus.solves.append((self.system, objective, extra, values))
+        return values
+
+    rng = random.Random(0x5EED)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AssembledSystem, "solve", capture)
+        for _ in range(PROGRAM_COUNT):
+            program = random_program(rng)
+            corpus.programs.append(program)
+            corpus.results.append(analyze_program(program, **corpus.options))
+    return corpus
 
 
 @pytest.fixture

@@ -56,12 +56,12 @@ class TestParserConstruction:
 
     @pytest.mark.parametrize("command", ["analyze", "bench", "batch",
                                          "serve"])
-    def test_no_solver_or_prefilter_flags(self, command, capsys):
+    def test_no_retired_flags(self, command, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         usage = capsys.readouterr().out
-        assert "--domain" in usage
-        assert "--solver" not in usage and "--prefilter" not in usage
+        for flag in ("--solver", "--prefilter", "--domain"):
+            assert flag not in usage
 
 
 class TestAnalyzeCommand:
@@ -310,12 +310,13 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch", "no-such-benchmark", "--no-cache"])
 
-    def test_batch_unknown_option_is_a_bad_request(self, rdwalk_file):
+    @pytest.mark.parametrize("key", ["solver", "domain"])
+    def test_batch_unknown_option_is_a_bad_request(self, key, rdwalk_file):
         from repro.cli import _collect_batch_jobs
 
         with pytest.raises(SystemExit) as excinfo:
-            _collect_batch_jobs([rdwalk_file], {"solver": "scipy"})
-        assert "unknown analyzer option 'solver'" in str(excinfo.value.code)
+            _collect_batch_jobs([rdwalk_file], {key: "fm"})
+        assert f"unknown analyzer option {key!r}" in str(excinfo.value.code)
 
     def test_batch_timeout_needs_workers(self, capsys):
         # Rejected at argument-parse time: conventional usage-error exit
@@ -326,92 +327,22 @@ class TestBatchCommand:
         assert "--workers" in capsys.readouterr().err
 
 
-class TestDomainSelection:
-    """--domain plumbing: analyze/batch/serve, unknown-domain handling."""
+class TestRetiredDomainOption:
+    """``--domain`` is gone: the flag is a usage error before any work."""
 
-    def test_analyze_with_each_domain(self, rdwalk_file, capsys):
-        bounds = {}
-        for domain in ("fm", "polyhedra"):
-            exit_code = main(["analyze", rdwalk_file, "--domain", domain])
-            output = capsys.readouterr().out
-            assert exit_code == 0
-            bounds[domain] = [line for line in output.splitlines()
-                              if "expected cost bound" in line]
-        # Both exact backends must print the identical bound line.
-        assert bounds["fm"] == bounds["polyhedra"]
-
-    def test_analyze_unknown_domain_exit_code(self, rdwalk_file, capsys):
-        # argparse rejects values outside the registered domain choices.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", rdwalk_file, "--domain", "octagons"])
-        assert excinfo.value.code == 2
-        assert "octagons" in capsys.readouterr().err
-
-    def test_batch_domain_is_part_of_cache_key(self, tmp_path, capsys):
-        programs = tmp_path / "programs"
-        programs.mkdir()
-        (programs / "walk.imp").write_text(RDWALK_SOURCE)
+    @pytest.mark.parametrize("command", ["analyze", "batch", "bench",
+                                         "serve"])
+    def test_domain_flag_is_a_usage_error(self, command, rdwalk_file,
+                                          tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"
-
-        assert main(["batch", str(programs), "--cache-dir", str(cache),
-                     "--domain", "fm"]) == 0
-        first = capsys.readouterr().out
-        assert "computed" in first
-
-        # Same program under the other domain: a cache MISS, not a hit.
-        assert main(["batch", str(programs), "--cache-dir", str(cache),
-                     "--domain", "polyhedra"]) == 0
-        second = capsys.readouterr().out
-        assert "0 served from store" in second
-
-        # Re-running either domain hits its own record.
-        assert main(["batch", str(programs), "--cache-dir", str(cache),
-                     "--domain", "polyhedra"]) == 0
-        third = capsys.readouterr().out
-        assert "1 served from store" in third
-
-    def test_batch_unknown_domain_exit_code(self, tmp_path):
-        program = tmp_path / "walk.imp"
-        program.write_text(RDWALK_SOURCE)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        inputs = [rdwalk_file] if command in ("analyze", "batch") else []
         with pytest.raises(SystemExit) as excinfo:
-            main(["batch", str(program), "--no-cache", "--domain", "intervals"])
+            main([command, *inputs, "--domain", "fm"])
         assert excinfo.value.code == 2
-
-    def test_serve_forwards_domain_default(self, monkeypatch):
-        captured = {}
-
-        def fake_serve(store=None, workers=0, default_options=None):
-            captured["options"] = default_options
-            return 0
-
-        import repro.service.server as server
-
-        monkeypatch.setattr(server, "serve_stdio", fake_serve)
-        assert main(["serve", "--no-cache", "--domain", "polyhedra"]) == 0
-        assert captured["options"] == {"domain": "polyhedra"}
-
-    def test_serve_request_domain_in_job_hash(self):
-        import io
-        import json as json_module
-
-        from repro.service.server import AnalysisServer
-
-        requests = "\n".join(
-            json_module.dumps({"op": "analyze", "id": index,
-                               "source": RDWALK_SOURCE,
-                               "options": {"domain": domain}})
-            for index, domain in enumerate(("fm", "polyhedra"))) + "\n"
-        output = io.StringIO()
-        AnalysisServer().serve(io.StringIO(requests), output)
-        records = [json_module.loads(line)
-                   for line in output.getvalue().splitlines()]
-        assert all(record["status"] == "ok" for record in records)
-        hashes = {record["result"]["job_hash"] for record in records}
-        domains = {record["result"]["domain"] for record in records}
-        assert len(hashes) == 2        # domain participates in the hash
-        assert domains == {"fm", "polyhedra"}
-        bounds = {record["result"]["bound"]["pretty"] for record in records}
-        assert len(bounds) == 1        # ... but the bound is identical
+        captured = capsys.readouterr()
+        assert "--domain" in captured.err and not captured.out
+        assert not cache.exists()
 
 
 class TestStoreCommand:
@@ -486,9 +417,9 @@ class TestServeGatewayFlags:
         monkeypatch.setattr(gateway, "run_gateway", fake_run_gateway)
         assert main(["serve", "--async", "--no-cache", "--port", "0",
                      "--queue-limit", "7", "--hot-cache-size", "3",
-                     "--domain", "fm"]) == 0
+                     "--degree-limit", "3"]) == 0
         assert captured["port"] == 0
         assert captured["queue_limit"] == 7
         assert captured["hot_cache_size"] == 3
-        assert captured["default_options"] == {"domain": "fm"}
+        assert captured["default_options"] == {"degree_limit": 3}
         assert captured["store"] is None

@@ -1,12 +1,11 @@
-"""Registry-wide reproducibility: both domains produce identical results.
+"""Registry-wide reproducibility: the polyhedra oracle reproduces every result.
 
-The polyhedra backend answers the same exact queries as the Fourier-Motzkin
-backend and shares the representation-producing projection, so a full
-analysis must be *byte-identical* across ``--domain fm`` and ``--domain
-polyhedra``: the same bound string, the same serialised certificate (every
-annotated program point, every weakening context, every rewrite
-combination).  This is the strongest cheap guarantee that switching the
-backend can never change an analysis result -- any divergence is a
+The test suite's polyhedra backend (``tests/polyhedra_oracle.py``) answers
+the same exact queries as the production Fourier-Motzkin backend and emits
+the same canonical constraint form, so a full analysis must be
+*byte-identical* with either engine answering: the same bound string, the
+same serialised certificate (every annotated program point, every
+weakening context, every rewrite combination).  Any divergence is a
 soundness bug in one of the engines.
 
 The AST node counter is process-global, so each analysis rebuilds its
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -28,12 +28,10 @@ from repro.logic.entailment import use_prefilter
 from repro.service.jobs import bound_payload, certificate_payload
 
 
-def _analyze(bench, domain: str, **options):
-    """Fresh build (deterministic node ids) + analysis under ``domain``."""
+def _analyze(bench):
+    """Fresh build (deterministic node ids) + analysis."""
     ast._NODE_COUNTER = itertools.count(1)
-    program = bench.build()
-    return analyze_program(program, **{**bench.analyzer_options,
-                                       "domain": domain, **options})
+    return analyze_program(bench.build(), **bench.analyzer_options)
 
 
 def _serialised(result):
@@ -52,15 +50,16 @@ def _serialised(result):
 
 @pytest.mark.parametrize("bench", all_benchmarks(),
                          ids=lambda bench: bench.name)
-def test_registry_bounds_and_certificates_identical(bench):
-    under_fm = _analyze(bench, "fm")
-    under_polyhedra = _analyze(bench, "polyhedra")
+def test_registry_bounds_and_certificates_identical(bench, polyhedra_oracle):
+    under_fm = _analyze(bench)
+    with polyhedra_oracle():
+        under_polyhedra = _analyze(bench)
     assert under_fm.success and under_polyhedra.success, (
         f"{bench.name}: fm={under_fm.message!r} "
         f"polyhedra={under_polyhedra.message!r}")
     left, right = _serialised(under_fm), _serialised(under_polyhedra)
     assert left == right, (
-        f"{bench.name}: analysis diverges between domains\n"
+        f"{bench.name}: analysis diverges under the polyhedra oracle\n"
         f"fm:        {left[:400]}\n"
         f"polyhedra: {right[:400]}")
 
@@ -74,17 +73,18 @@ _PREFILTER_SAMPLE = all_benchmarks()[::3]
 @pytest.mark.parametrize("domain", ["fm", "polyhedra"])
 @pytest.mark.parametrize("bench", _PREFILTER_SAMPLE,
                          ids=lambda bench: bench.name)
-def test_prefilter_on_off_identical(bench, domain):
+def test_prefilter_on_off_identical(bench, domain, polyhedra_oracle):
     """The interval tier is observational: results match bit-for-bit.
 
     The tier only answers when it provably matches the exact backend, so
     an analysis with the pre-filter enabled must serialise byte-identically
     to one without it -- bounds, LP shape and the full certificate.
     """
-    with use_prefilter(True):
-        with_tier = _analyze(bench, domain)
-    with use_prefilter(False):
-        without_tier = _analyze(bench, domain)
+    with polyhedra_oracle() if domain == "polyhedra" else nullcontext():
+        with use_prefilter(True):
+            with_tier = _analyze(bench)
+        with use_prefilter(False):
+            without_tier = _analyze(bench)
     left, right = _serialised(with_tier), _serialised(without_tier)
     assert left == right, (
         f"{bench.name} [{domain}]: the pre-filter changed the analysis\n"

@@ -156,33 +156,46 @@ class TestEdgeCases:
         with pytest.raises(fm.Infeasible):
             engine.project(facts, frozenset())
 
-    def test_memory_error_fallback_in_context_assign(self, monkeypatch):
-        # Force the constraint cap to blow immediately: under the FM
-        # backend the strongest-post projection must fall back to havoc
-        # instead of crashing.
-        from repro.logic import entailment
-        monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 0)
-        context = Context([X - 1, 10 - X, Y - 2])
-        with entailment.use_domain("fm"):
-            result = context.assign("x", X + Y)
-            havoced = context.havoc("x")
-            assert set(result.facts) == set(havoced.facts)
-            assert not result.is_unreachable
+    def test_constraint_cap_answers_exactly(self, monkeypatch):
+        # Force the constraint cap to blow on every elimination: each
+        # capped query is answered from the generator representation, so
+        # projections, bounds and strongest posts stay exact (no havoc).
+        facts = (X - 1, 10 - X, Y - 2, 20 - X - Y)
+        queries = (X - 1, X + Y - 3, Y - 19, 30 - X - 2 * Y)
 
-    def test_polyhedra_assign_immune_to_constraint_cap(self, monkeypatch):
-        # The generator-side assign never runs Fourier-Motzkin, so the FM
-        # constraint cap cannot degrade it: even with the cap at zero the
-        # strongest post stays exact (no havoc fallback).
-        from repro.logic import entailment
-        original_cap = fm.MAX_CONSTRAINTS
-        monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 0)
+        def answers(engine):
+            return (engine.assign(facts, "x", X + Y),
+                    [engine.entails(facts, query) for query in queries],
+                    [engine.greatest_lower_bound(facts, query)
+                     for query in queries])
+
+        reference = EntailmentEngine()
+        expected = answers(reference)
+        projection = reference.project(facts, frozenset({"y"}))
+        capped = EntailmentEngine()
+        with monkeypatch.context() as patch:
+            patch.setattr(fm, "MAX_CONSTRAINTS", 0)
+            assert answers(capped) == expected
+            capped_projection = capped.project(facts, frozenset({"y"}))
+        assert capped.stats.cap_blowups > 0
+        assert reference.stats.cap_blowups == 0
+        # Same set, though not the same representation: the capped
+        # projection comes back in the canonical form.
+        assert all(fm.entails(capped_projection, fact) for fact in projection)
+        assert all(fm.entails(projection, fact) for fact in capped_projection)
+
+    def test_oracle_assign_immune_to_constraint_cap(self, monkeypatch,
+                                                    polyhedra_oracle):
+        # The oracle's generator-side assign never runs Fourier-Motzkin, so
+        # even with the cap at zero its strongest post equals the uncapped
+        # FM one, and nothing reaches the cap path.
         context = Context([X - 1, 10 - X, Y - 2])
-        with entailment.use_domain("polyhedra"):
+        reference = context.assign("x", X + Y)
+        monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 0)
+        with polyhedra_oracle() as engine:
             exact = context.assign("x", X + Y)
-        with entailment.use_domain("fm"):
-            monkeypatch.setattr(fm, "MAX_CONSTRAINTS", original_cap)
-            reference = context.assign("x", X + Y)
         assert set(exact.facts) == set(reference.facts)
+        assert engine.stats.cap_blowups == 0
 
     def test_assign_detects_infeasibility(self):
         context = Context([X - 1])
@@ -241,64 +254,50 @@ class TestContextIntegration:
         assert 0.0 <= stats["hit_rate"] <= 1.0
 
 
-class TestBackendRegistry:
-    """Per-domain engines: selection, switching and lifecycle hooks."""
+class TestProcessEngine:
+    """The one process-wide engine and its lifecycle hooks."""
 
-    def test_get_engine_is_per_domain(self):
+    def test_get_engine_is_stable(self):
         from repro.logic import entailment
 
-        fm_engine = entailment.get_engine("fm")
-        poly_engine = entailment.get_engine("polyhedra")
-        assert fm_engine is not poly_engine
-        assert fm_engine.domain == "fm"
-        assert poly_engine.domain == "polyhedra"
-        assert entailment.get_engine("fm") is fm_engine       # stable
+        engine = entailment.get_engine()
+        assert entailment.get_engine("fm") is engine
+        assert isinstance(engine.backend, entailment.FourierMotzkinBackend)
 
     def test_unknown_domain_raises(self):
         from repro.logic import entailment
 
-        with pytest.raises(ValueError, match="octagons"):
-            entailment.get_engine("octagons")
+        with pytest.raises(ValueError, match="polyhedra"):
+            entailment.get_engine("polyhedra")
 
-    def test_use_domain_switches_and_restores(self):
+    def test_reset_engine_installs_a_fresh_engine(self):
         from repro.logic import entailment
 
-        baseline = entailment.active_domain()
-        with entailment.use_domain("polyhedra") as engine:
-            assert entailment.active_domain() == "polyhedra"
-            assert entailment.get_engine() is engine
-        assert entailment.active_domain() == baseline
+        old = entailment.get_engine()
+        fresh = entailment.reset_engine()
+        assert fresh is not old
+        assert entailment.get_engine() is fresh
 
-    def test_reset_engine_is_backend_aware(self):
-        from repro.logic import entailment
-
-        fm_engine = entailment.get_engine("fm")
-        poly_engine = entailment.get_engine("polyhedra")
-        # Named reset replaces exactly that engine.
-        fresh = entailment.reset_engine("polyhedra")
-        assert fresh is not poly_engine
-        assert entailment.get_engine("fm") is fm_engine
-        # Bare reset drops the whole registry.
-        entailment.reset_engine()
-        assert entailment.get_engine("fm") is not fm_engine
-
-    def test_warm_engine_warms_the_named_backend(self):
-        from repro.logic import entailment
-
-        entailment.reset_engine()
-        warmed = entailment.warm_engine("polyhedra")
-        assert warmed.domain == "polyhedra"
-        assert warmed is entailment.get_engine("polyhedra")
-
-    def test_queries_agree_across_backends_via_context(self):
-        from repro.logic import entailment
-
+    def test_queries_agree_with_the_oracle_via_context(self,
+                                                       polyhedra_oracle):
         x = LinExpr.var("x")
         gamma = Context([x - 1])                 # x >= 1
-        with entailment.use_domain("fm"):
-            fm_answers = (gamma.entails(x), gamma.greatest_lower_bound(x),
-                          gamma.is_satisfiable())
-        with entailment.use_domain("polyhedra"):
-            poly_answers = (gamma.entails(x), gamma.greatest_lower_bound(x),
-                            gamma.is_satisfiable())
-        assert fm_answers == poly_answers == (True, 1, True)
+
+        def answers():
+            return (gamma.entails(x), gamma.greatest_lower_bound(x),
+                    gamma.is_satisfiable())
+
+        fm_answers = answers()
+        with polyhedra_oracle() as engine:
+            oracle_answers = answers()
+        assert engine.stats.queries > 0
+        assert fm_answers == oracle_answers == (True, 1, True)
+
+    def test_warm_engine_leaves_no_trace(self):
+        from repro.logic import entailment
+
+        entailment.reset_engine()
+        warmed = entailment.warm_engine()
+        assert warmed is entailment.get_engine()
+        assert warmed.stats.queries == 0
+        assert not warmed._entails_cache

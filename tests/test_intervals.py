@@ -5,10 +5,10 @@ propagation, witness points, unboundedness certificates -- every decided
 answer must equal the exact backend's), the engine's tier accounting
 (interval hits never double-count syntactic hits, ``entails_context``'s
 subset short circuit stays out of every tier), the ``prefilter`` toggle
-(identical answers on and off), the generator-side ``assign`` acceptance
-pin (zero Fourier-Motzkin eliminations under the polyhedra domain), and
-the ``Context`` error-handling satellites (a genuine ``MemoryError``
-propagates out of ``assign``; the constraint cap still degrades to havoc;
+(identical answers on and off), the generator-side ``assign`` pin (zero
+Fourier-Motzkin eliminations under the polyhedra oracle), and the
+``Context`` error-handling satellites (a genuine ``MemoryError``
+propagates out of ``assign``; the constraint cap leaves ``assign`` exact;
 ``greatest_lower_bound`` answers ``None`` on unreachable contexts).
 """
 
@@ -22,10 +22,11 @@ from repro.logic import fourier_motzkin as fm
 from repro.logic.contexts import Context
 from repro.logic.entailment import (EntailmentEngine, FourierMotzkinBackend,
                                     get_engine, reset_engine, resolve_prefilter,
-                                    use_domain, use_prefilter)
+                                    use_prefilter)
 from repro.logic.intervals import UNDECIDED, IntervalBox
-from repro.logic.polyhedra import PolyhedraBackend
 from repro.utils.linear import LinExpr
+
+from polyhedra_oracle import PolyhedraBackend
 
 
 def expr(coeffs, const=0) -> LinExpr:
@@ -315,9 +316,9 @@ class TestPrefilterToggle:
 
 class TestAssignWithoutElimination:
 
-    def test_polyhedra_assign_never_runs_fourier_motzkin(self):
-        engine = reset_engine("polyhedra")
-        with use_domain("polyhedra"):
+    def test_polyhedra_assign_never_runs_fourier_motzkin(self,
+                                                         polyhedra_oracle):
+        with polyhedra_oracle() as engine:
             context = Context([X, Y, N - X - Y])
             context = context.assign("x", X + LinExpr.const(1))
             context = context.assign_interval("y", Y, Fraction(0), Fraction(2))
@@ -342,14 +343,16 @@ class TestAssignWithoutElimination:
 
 class TestContextErrorHandling:
 
-    def test_constraint_cap_degrades_to_havoc(self, monkeypatch):
-        monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 0)
-        reset_engine()
+    def test_constraint_cap_keeps_assign_exact(self, monkeypatch):
         context = Context([X, Y, N - X - Y])
+        reference = context.assign("x", X + Y)
+        monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 0)
+        engine = reset_engine()
         result = context.assign("x", X + Y)
-        # The cap is a backend resource limit: the variable is havocked,
-        # the analysis continues.
-        assert not result.is_unreachable
+        # The cap is a backend resource limit: the capped query is answered
+        # from the generator representation, with the same exact result.
+        assert engine.stats.cap_blowups > 0
+        assert result.facts == reference.facts
         reset_engine()
 
     def test_real_memory_error_propagates_from_assign(self, monkeypatch):

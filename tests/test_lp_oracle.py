@@ -13,7 +13,6 @@ certificate and job hash unchanged.
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.core.analyzer import analyze_program
 from repro.core.constraints import AffExpr, ConstraintSystem
 from repro.core.solver import AssembledSystem, SolverError
 
-from tests.test_program_fuzz import PROGRAM_COUNT, random_program
 
 #: ``linprog``'s status for a proven-infeasible LP.
 LINPROG_INFEASIBLE = 2
@@ -136,11 +134,8 @@ def test_registry_escalating(bench, captured):
     assert_matches_linprog(captured)
 
 
-def test_fuzz_corpus(captured):
-    rng = random.Random(0x5EED)
-    for _ in range(PROGRAM_COUNT):
-        analyze_program(random_program(rng), max_degree=1, degree_limit=2)
-    assert_matches_linprog(captured)
+def test_fuzz_corpus(fuzz_corpus):
+    assert_matches_linprog(fuzz_corpus.solves)
 
 
 def test_infeasible_and_unbounded_verdicts():

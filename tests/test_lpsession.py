@@ -9,7 +9,6 @@ degree attempt, yields the same bound and certificate as a cold run at the
 target degree.
 """
 
-import random
 import re
 from fractions import Fraction
 
@@ -30,7 +29,6 @@ from repro.lang import builder as B
 from repro.utils.rationals import snap_fraction
 
 from tests.test_pipeline_incremental import canonical_certificate
-from tests.test_program_fuzz import PROGRAM_COUNT, random_program
 
 POLYNOMIAL = polynomial_benchmarks()
 
@@ -323,16 +321,14 @@ class TestSkipDifferential:
         _assert_forced_agrees(bench.name, program, options,
                               analyze_program(program, **options), monkeypatch)
 
-    def test_fuzz_corpus(self, monkeypatch):
-        rng = random.Random(0x5EED)
+    def test_fuzz_corpus(self, fuzz_corpus, monkeypatch):
         skipped = 0
-        for index in range(PROGRAM_COUNT):
-            program = random_program(rng)
-            options = {"max_degree": 1, "degree_limit": 2}
-            result = analyze_program(program, **options)
+        for index, (program, result) in enumerate(zip(fuzz_corpus.programs,
+                                                      fuzz_corpus.results)):
             if result.success:
                 skipped += _assert_forced_agrees(f"program {index}", program,
-                                                 options, result, monkeypatch)
+                                                 fuzz_corpus.options, result,
+                                                 monkeypatch)
         assert skipped >= 5, skipped
 
 

@@ -129,13 +129,11 @@ def test_round_trip_preserves_analysis():
     assert analyzed >= 5, "generator produced too few analyzable programs"
 
 
-def test_bounds_dominate_sampled_means():
-    rng = random.Random(0x5EED)
+def test_bounds_dominate_sampled_means(fuzz_corpus):
     analyzed = 0
     failures: List[str] = []
-    for index in range(PROGRAM_COUNT):
-        program = random_program(rng)
-        result = analyze_program(program, max_degree=1, degree_limit=2)
+    for index, (program, result) in enumerate(zip(fuzz_corpus.programs,
+                                                  fuzz_corpus.results)):
         if not result.success:
             continue
         analyzed += 1
@@ -159,15 +157,13 @@ def test_bounds_dominate_sampled_means():
         f"generator produced too few analyzable programs ({analyzed})"
 
 
-def test_certificates_check():
+def test_certificates_check(fuzz_corpus):
     """Every fuzzed bound's certificate passes the checker, including the
     ones that escalate to degree 2 (the extension walk's evidence)."""
-    rng = random.Random(0x5EED)
     analyzed = escalated = 0
     failures: List[str] = []
-    for index in range(PROGRAM_COUNT):
-        program = random_program(rng)
-        result = analyze_program(program, max_degree=1, degree_limit=2)
+    for index, (program, result) in enumerate(zip(fuzz_corpus.programs,
+                                                  fuzz_corpus.results)):
         if not result.success:
             continue
         analyzed += 1
@@ -180,25 +176,26 @@ def test_certificates_check():
     assert analyzed >= 15 and escalated >= 5, (analyzed, escalated)
 
 
-def test_soundness_holds_under_polyhedra_domain():
-    """The same soundness property with the polyhedra backend active."""
+def test_soundness_holds_under_polyhedra_domain(polyhedra_oracle):
+    """The same soundness property with the polyhedra oracle answering."""
     rng = random.Random(0x5EED)  # same stream: same programs as above
     analyzed = 0
-    for index in range(PROGRAM_COUNT // 3):
-        program = random_program(rng)
-        result = analyze_program(program, max_degree=1, degree_limit=2,
-                                 domain="polyhedra")
-        if not result.success:
-            continue
-        analyzed += 1
-        stats = estimate_expected_cost(program, dict(INPUT_STATE),
-                                       runs=300, seed=index,
-                                       max_steps=20_000, engine="auto")
-        bound_value = result.bound.evaluate_float(INPUT_STATE)
-        assert bound_value >= stats.mean - CI_MULTIPLIER * stats.standard_error(), (
-            f"program {index} unsound under polyhedra: {result.bound.pretty()}"
-            f" = {bound_value:.3f} < {stats.mean:.3f}\n"
-            f"{program_to_source(program)}")
+    with polyhedra_oracle():
+        for index in range(PROGRAM_COUNT // 3):
+            program = random_program(rng)
+            result = analyze_program(program, max_degree=1, degree_limit=2)
+            if not result.success:
+                continue
+            analyzed += 1
+            stats = estimate_expected_cost(program, dict(INPUT_STATE),
+                                           runs=300, seed=index,
+                                           max_steps=20_000, engine="auto")
+            bound_value = result.bound.evaluate_float(INPUT_STATE)
+            tolerance = CI_MULTIPLIER * stats.standard_error()
+            assert bound_value >= stats.mean - tolerance, (
+                f"program {index} unsound under polyhedra: "
+                f"{result.bound.pretty()} = {bound_value:.3f} < "
+                f"{stats.mean:.3f}\n{program_to_source(program)}")
     assert analyzed >= 5
 
 # ---------------------------------------------------------------------------

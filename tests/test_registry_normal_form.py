@@ -5,9 +5,8 @@ as the CLI runs them) every exact value the analysis hands on must be an
 ``int`` or a ``Fraction`` whose denominator is not 1: the coefficients and
 constants of every LP row, every rewrite polynomial and every interval
 atom's difference, and every coefficient of the bound and of the
-certificate's weakening combinations.  The abstract domain and the
-interval pre-filter follow the environment, so each test leg checks its
-own configuration.
+certificate's weakening combinations.  The interval pre-filter follows
+the environment, so each test leg checks its own configuration.
 """
 
 from dataclasses import replace

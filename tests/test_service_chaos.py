@@ -131,8 +131,8 @@ class TestChaosGate:
         # function of seed, hash and attempt) where crashes fire on at
         # least one first attempt and never on a retry: recovery then
         # always succeeds, no matter which jobs happen to share a pool
-        # when it breaks.  Job hashes include the active domain, so the
-        # seed is computed rather than hard-coded.
+        # when it breaks.  Job hashes change with the schema version, so
+        # the seed is computed rather than hard-coded.
         p = 0.25
         seed = next(
             s for s in range(10_000)
@@ -269,7 +269,7 @@ class TestServerHardening:
         assert health["pool"]["workers"] == 3
         assert health["store"]["records"] == 1
         assert health["store"]["quarantine_records"] == 0
-        assert health["engine"]["domain"]
+        assert health["engine"]["engine_id"]
         assert health["faults"] is None
         assert health["schema"] == SCHEMA_VERSION
 

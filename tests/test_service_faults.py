@@ -2,9 +2,11 @@
 
 Covers the ISSUE-6 checklist items: retry/backoff determinism (the seeded
 jitter schedule is exactly reproducible), store-fault survival, the
-fm-cap -> polyhedra degradation rung, and the store quarantine round trip.
+constraint-cap path (capped eliminations answered exactly inside the
+backend), and the store quarantine round trip.
 """
 
+import itertools
 import json
 import os
 
@@ -250,69 +252,89 @@ class TestStoreQuarantine:
         assert store.quarantine_count() == 1   # one file per hash
 
 
-class TestDomainFallback:
-    """The fm-cap -> polyhedra rung of the degradation ladder."""
+class TestCapPath:
+    """Capped eliminations are answered exactly inside the backend."""
 
-    def test_injected_cap_blowup_yields_resource_limit(self):
+    @pytest.mark.parametrize("cap", ["fault", "max-constraints"])
+    @pytest.mark.parametrize("name", ["rdwalk", "pol04"])
+    def test_capped_run_equals_uncapped_run(self, name, cap, monkeypatch):
+        from repro.bench.registry import get_benchmark
+        from repro.core.rewrite import clear_rewrite_caches
+        from repro.lang import ast
+        from repro.logic import fourier_motzkin as fm
+        from repro.logic.entailment import reset_engine
+        from repro.service.jobs import job_from_benchmark
+
+        job = job_from_benchmark(get_benchmark(name))
+
+        def cold_run():
+            # Fresh caches, and node ids restarted so certificates compare.
+            reset_engine()
+            clear_rewrite_caches()
+            ast._NODE_COUNTER = itertools.count(1)
+            return run_batch([job], SchedulerConfig(workers=0)).results[0]
+
+        uncapped = cold_run()
+        with monkeypatch.context() as patch:
+            if cap == "fault":
+                faults.configure([FaultSpec("fm-cap")], seed=0)
+            else:
+                patch.setattr(fm, "MAX_CONSTRAINTS", 0)
+            capped = cold_run()
+        faults.disable()
+        assert uncapped.status == capped.status == "ok"
+        assert uncapped.engine["cap_blowups"] == 0
+        assert capped.engine["cap_blowups"] > 0
+        assert capped.degraded == {} and capped.attempts == 1
+        assert capped.bound == uncapped.bound
+        assert capped.certificate == uncapped.certificate
+        if cap == "fault":
+            assert all(event["kind"] == "fm-cap"
+                       for event in capped.fault_events)
+            assert len(capped.fault_events) >= capped.engine["cap_blowups"]
+
+    def test_capped_run_needs_no_degradation(self):
         from repro.logic.entailment import reset_engine
 
         reset_engine()
         faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        result = run_job(AnalysisJob.create("rdwalk", RDWALK,
-                                            {"domain": "fm"}))
-        assert result.status == "resource-limit"
-        assert "constraint cap" in result.message
+        job = AnalysisJob.create("rdwalk", RDWALK)
+        report = run_batch([job], SchedulerConfig(workers=0, degrade=False))
+        result = report.results[0]
+        # Without the ladder the capped job still answers on its first run.
+        assert result.status == "ok" and result.attempts == 1
+        assert result.engine["cap_blowups"] > 0
         assert any(event["kind"] == "fm-cap" for event in result.fault_events)
 
-    def test_scheduler_retries_under_polyhedra(self):
+    def test_one_capped_elimination_is_one_blowup(self):
         from repro.logic.entailment import reset_engine
 
         reset_engine()
-        baseline = run_job(AnalysisJob.create("rdwalk", RDWALK,
-                                              {"domain": "fm"}))
-        assert baseline.status == "ok"
-        reset_engine()
-        # The fault only hits the fm backend: the fallback run is clean.
-        faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
-        report = run_batch([job], SchedulerConfig(workers=0))
-        result = report.results[0]
+        faults.configure([FaultSpec("fm-cap", limit=1)], seed=0)
+        result = run_job(AnalysisJob.create("rdwalk", RDWALK))
         assert result.status == "ok"
-        assert result.domain == "polyhedra"
-        assert result.degraded == {"kind": "domain-fallback", "from": "fm",
-                                   "to": "polyhedra",
-                                   "reason": "resource-limit"}
-        assert result.attempts == 2
-        # Reported under the *original* job identity...
-        assert result.job_hash == job.job_hash
-        # ...with the byte-identical bound the fm run would have produced.
-        assert result.bound == baseline.bound
-        assert len(report.degraded) == 1
+        assert result.engine["cap_blowups"] == 1
+        assert [event["kind"] for event in result.fault_events] == ["fm-cap"]
 
-    def test_no_degrade_keeps_the_structured_failure(self):
-        from repro.logic.entailment import reset_engine
-
-        reset_engine()
-        faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
-        report = run_batch([job], SchedulerConfig(workers=0, degrade=False))
-        assert report.results[0].status == "resource-limit"
-
-    def test_degraded_results_are_cached_under_the_original_hash(self,
-                                                                 tmp_path):
+    def test_capped_results_are_cached_under_the_job_hash(self, tmp_path):
         from repro.logic.entailment import reset_engine
 
         reset_engine()
         store = ResultStore(str(tmp_path))
         faults.configure([FaultSpec("fm-cap", match="fm")], seed=0)
-        job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
-        run_batch([job], SchedulerConfig(workers=0, store=store))
+        job = AnalysisJob.create("rdwalk", RDWALK)
+        first = run_batch([job], SchedulerConfig(workers=0, store=store))
         faults.disable()
-        # Sound to cache: the polyhedra answer is byte-identical by the
-        # domain-identity invariant, and the provenance rides along.
+        computed = first.results[0]
+        assert computed.cacheable and not first.degraded
+        # Sound to cache: the capped answer is the exact one.
         cached = store.get(job.job_hash)
         assert cached is not None
-        assert cached.degraded["kind"] == "domain-fallback"
+        assert cached.bound == computed.bound
+        assert cached.engine["cap_blowups"] > 0
+        second = run_batch([job], SchedulerConfig(workers=0, store=store))
+        assert second.cache_hits == 1
+        assert second.results[0].bound == computed.bound
 
 
 class TestDegradedCacheability:
@@ -323,17 +345,10 @@ class TestDegradedCacheability:
                                      "reason": "timeout"})
         assert not result.cacheable
 
-    def test_domain_fallback_results_stay_cacheable(self):
-        result = JobResult(name="t", job_hash="ab" * 32, status="ok",
-                           degraded={"kind": "domain-fallback",
-                                     "from": "fm", "to": "polyhedra",
-                                     "reason": "resource-limit"})
-        assert result.cacheable
-
     def test_schema_v4_record_round_trip(self):
         result = JobResult(name="t", job_hash="ab" * 32, status="ok",
                            attempts=3,
-                           degraded={"kind": "domain-fallback"},
+                           degraded={"kind": "degree-fallback"},
                            fault_events=[{"site": "pool",
                                           "kind": "worker-lost",
                                           "key": "ab:1"}])

@@ -41,6 +41,23 @@ def _variant(seed: int) -> str:
     return RDWALK.replace("x + 1", f"x + 2 - 1 + {seed} - {seed}")
 
 
+def _hold_analyses(gateway: AnalysisGateway) -> threading.Event:
+    """Hold every analysis the gateway runs until the returned event is set.
+
+    A held job stays admitted (``_pending``) for as long as a test needs,
+    however quickly the analysis itself would finish.
+    """
+    release = threading.Event()
+    run = gateway._run
+
+    def held_run(job):
+        release.wait(timeout=30)
+        return run(job)
+
+    gateway._run = held_run
+    return release
+
+
 @pytest.fixture
 def gateway(tmp_path):
     thread = GatewayThread(store=ResultStore(str(tmp_path)), workers=0,
@@ -64,6 +81,17 @@ class TestOps:
         assert health["pool"] == {"workers": 0, "inline": True}
         assert health["hot_cache"]["max_entries"] == 8
         assert health["address"][1] == port
+
+    def test_health_reports_the_process_engine(self, gateway):
+        from repro.logic.entailment import get_engine
+
+        host, port, _ = gateway
+        with GatewayClient(host, port) as client:
+            engine = client.health()["engine"]
+        # One engine per process, and no backend choice to report.
+        assert engine["engine_id"] == id(get_engine())
+        assert engine["pid"] == os.getpid()
+        assert "domain" not in engine
 
     def test_stats_shape(self, gateway):
         host, port, _ = gateway
@@ -102,6 +130,8 @@ class TestOps:
         with GatewayClient(host, port) as client:
             response = client.analyze(RDWALK, options={"prefilter": False},
                                       request_id=5)
+            retired = client.analyze(RDWALK, options={"domain": "fm"},
+                                     request_id=7)
             batch = list(client.batch([{"source": RDWALK,
                                         "options": {"bogus": 1}}],
                                       request_id=6))
@@ -110,8 +140,11 @@ class TestOps:
         assert "unknown analyzer option 'prefilter'" in response["error"]
         assert len(batch) == 1 and batch[0]["id"] == 6
         assert "unknown analyzer option 'bogus'" in batch[0]["error"]
-        # Rejected before any tier: nothing was analyzed.
+        assert retired == {"id": 7, "error": retired["error"]}
+        assert "unknown analyzer option 'domain'" in retired["error"]
+        # Rejected before any tier: nothing was analyzed or stored.
         assert thread_gateway.stats.analyses == 0
+        assert len(thread_gateway.store) == 0
 
 
 class TestTiers:
@@ -155,6 +188,35 @@ class TestTiers:
             responses = {client.read()["id"]: None for _ in range(2)}
         # Both requests answered, matched by id (completion order may vary).
         assert set(responses) == {"a", "b"}
+
+
+class TestCapPath:
+    def test_capped_analysis_is_served_undegraded(self, gateway):
+        from repro.core.rewrite import clear_rewrite_caches
+        from repro.logic.entailment import reset_engine
+        from repro.service import faults
+        from repro.service.faults import FaultSpec
+
+        host, port, _ = gateway
+        with GatewayClient(host, port) as client:
+            reference = client.analyze(RDWALK, name="rdwalk")
+            # Cold caches, so the capped analysis runs its eliminations.
+            reset_engine()
+            clear_rewrite_caches()
+            faults.configure([FaultSpec("fm-cap")], seed=0)
+            try:
+                cold = client.analyze(_variant(7), name="capped")
+                warm = client.analyze(_variant(7), name="capped")
+            finally:
+                faults.disable()
+        # Every elimination hit the cap, and the answer is still exact:
+        # no degradation rung, and the result is cached like any other.
+        assert cold["status"] == "ok" and cold["tier"] == "computed"
+        assert cold["result"]["engine"]["cap_blowups"] > 0
+        assert cold["result"]["degraded"] == {}
+        assert cold["result"]["attempts"] == 1
+        assert cold["result"]["bound"] == reference["result"]["bound"]
+        assert warm["tier"] == "memory"
 
 
 class TestCoalescing:
@@ -235,6 +297,7 @@ class TestBackpressure:
         thread = GatewayThread(store=ResultStore(str(tmp_path)), workers=0,
                                queue_limit=1, hot_cache_size=8)
         host, port = thread.start()
+        release = _hold_analyses(thread.gateway)
         try:
             slow_response = {}
 
@@ -250,6 +313,7 @@ class TestBackpressure:
                 time.sleep(0.005)
             with GatewayClient(host, port) as client:
                 busy = client.analyze(_variant(3))
+            release.set()
             slow_thread.join()
             assert busy["status"] == "busy"
             assert busy["retry_after"] > 0
@@ -257,6 +321,7 @@ class TestBackpressure:
             assert slow_response["status"] == "ok"
             assert thread.gateway.stats.busy_rejections == 1
         finally:
+            release.set()
             thread.stop()
 
 
@@ -265,6 +330,7 @@ class TestGracefulShutdown:
         thread = GatewayThread(store=ResultStore(str(tmp_path)), workers=0,
                                hot_cache_size=8)
         host, port = thread.start()
+        release = _hold_analyses(thread.gateway)
         slow_response = {}
 
         def slow_request():
@@ -278,6 +344,8 @@ class TestGracefulShutdown:
             time.sleep(0.005)
         with GatewayClient(host, port) as client:
             assert client.shutdown()["ok"] is True
+        # The analysis is still in flight when the shutdown is acknowledged.
+        release.set()
         slow_thread.join(timeout=30)
         # The in-flight analysis still completed and was delivered.
         assert slow_response["status"] == "ok"

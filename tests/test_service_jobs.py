@@ -9,7 +9,8 @@ from repro.core import solver
 from repro.core.analyzer import analyze_source
 from repro.service.jobs import (SCHEMA_VERSION, AnalysisJob, JobResult,
                                 bound_from_payload, canonical_source,
-                                job_from_benchmark, job_from_file, run_job)
+                                job_domain, job_from_benchmark, job_from_file,
+                                run_job)
 from repro.service.scheduler import run_jobs
 from repro.service.store import ResultStore
 
@@ -68,7 +69,8 @@ class TestJobHash:
 
 
 class TestUnknownOptions:
-    @pytest.mark.parametrize("key", ["bogus", "solver", "prefilter"])
+    @pytest.mark.parametrize("key", ["bogus", "solver", "prefilter",
+                                     "domain"])
     def test_create_rejects_a_key_that_is_not_a_config_field(self, key):
         with pytest.raises(ValueError, match=repr(key)):
             AnalysisJob.create("a", RDWALK, {key: 1})
@@ -186,39 +188,24 @@ class TestJobFactories:
         assert result.bound_pretty == direct.bound.pretty()
 
 
-class TestDomainStamping:
-    """Jobs resolve their abstract domain at creation, not at run time."""
+class TestOneBackend:
+    """Jobs name no entailment backend: there is one, Fourier-Motzkin."""
 
-    def test_jobs_are_stamped_with_the_active_domain(self):
-        from repro.logic.entailment import active_domain
-
-        job = AnalysisJob.create("t", "proc main(x) { tick(1); }")
-        assert job.options_dict["domain"] == active_domain()
-
-    def test_env_default_domain_participates_in_the_hash(self, monkeypatch):
+    def test_environment_does_not_reach_the_hash(self, monkeypatch):
         source = "proc main(x) { tick(1); }"
-        monkeypatch.setenv("REPRO_DOMAIN", "fm")
-        under_fm = AnalysisJob.create("t", source)
+        before = AnalysisJob.create("t", source)
         monkeypatch.setenv("REPRO_DOMAIN", "polyhedra")
-        under_poly = AnalysisJob.create("t", source)
-        # Two processes with different $REPRO_DOMAIN defaults must never
-        # share one content hash -- otherwise the store would serve one
-        # backend's cached results to the other.
-        assert under_fm.job_hash != under_poly.job_hash
-        assert under_fm.options_dict["domain"] == "fm"
-        assert under_poly.options_dict["domain"] == "polyhedra"
+        after = AnalysisJob.create("t", source)
+        assert before.options == after.options == ()
+        assert before.job_hash == after.job_hash
+        assert job_domain(after) == "fm"
 
-    def test_explicit_domain_wins_over_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DOMAIN", "polyhedra")
-        job = AnalysisJob.create("t", "proc main(x) { tick(1); }",
-                                 {"domain": "fm"})
-        assert job.options_dict["domain"] == "fm"
-
-    def test_job_from_benchmark_accepts_a_domain(self, monkeypatch):
+    def test_benchmark_jobs_name_the_process_engine(self):
         from repro.bench.registry import get_benchmark
+        from repro.logic.entailment import get_engine
 
-        bench = get_benchmark("ber")
-        monkeypatch.setenv("REPRO_DOMAIN", "fm")
-        assert job_from_benchmark(bench).options_dict["domain"] == "fm"
-        pinned = job_from_benchmark(bench, domain="polyhedra")
-        assert pinned.options_dict["domain"] == "polyhedra"
+        job = job_from_benchmark(get_benchmark("ber"))
+        assert "domain" not in job.options_dict
+        # Callers that record engine statistics per job reach the one
+        # process engine through the job's backend name.
+        assert get_engine(job_domain(job)) is get_engine()

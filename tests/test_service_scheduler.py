@@ -207,24 +207,29 @@ class TestMisc:
         assert results[0].status == "parse-error"
 
 
-class TestInvalidDomainSurvival:
-    """An unknown abstract domain degrades to structured errors, not a dead pool."""
+class TestRetiredDomain:
+    """``$REPRO_DOMAIN`` and the domain rung of the ladder are gone."""
 
-    def test_pool_survives_invalid_env_domain(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_repro_domain_is_ignored(self, workers, monkeypatch):
         monkeypatch.setenv("REPRO_DOMAIN", "octagons")
-        jobs = [AnalysisJob.create("bad-domain",
-                                   "proc main(x) { tick(1); }")]
-        assert jobs[0].options_dict["domain"] == "octagons"
-        results = scheduler_module.run_jobs(jobs, workers=1)
-        # The worker initializer must not take the pool down; the job comes
-        # back as a structured error naming the unknown domain.
-        assert results[0].status == "error"
-        assert "octagons" in results[0].message
+        job = AnalysisJob.create("walk", "proc main(x) { tick(1); }")
+        assert job.options == ()
+        # Neither the worker initializer nor the inline path reads the
+        # variable: the job runs under the one backend.
+        results = run_jobs([job], workers=workers)
+        assert results[0].status == "ok"
+        assert results[0].bound_pretty == "1"
 
-    def test_inline_invalid_domain_matches_pool_behaviour(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DOMAIN", "octagons")
-        jobs = [AnalysisJob.create("bad-domain",
-                                   "proc main(x) { tick(1); }")]
-        results = scheduler_module.run_jobs(jobs, workers=0)
-        assert results[0].status == "error"
-        assert "octagons" in results[0].message
+    def test_resource_limit_results_are_not_retried(self):
+        from repro.service.scheduler import apply_degradation
+
+        job = AnalysisJob.create("walk", RDWALK)
+        failed = JobResult(name="walk", job_hash=job.job_hash,
+                           status="resource-limit",
+                           message="constraint cap exceeded")
+
+        def rerun(retry_job):
+            raise AssertionError("only timeouts are re-run")
+
+        assert apply_degradation(job, failed, rerun) is failed

@@ -97,7 +97,7 @@ class TestRobustness:
         store.put(result)
         path = store._path(result.job_hash)
         record = json.loads(open(path, encoding="utf-8").read())
-        assert record["schema"] == SCHEMA_VERSION == 11
+        assert record["schema"] == SCHEMA_VERSION == 12
         record["schema"] = schema
         record["checksum"] = record_checksum(record)
         with open(path, "w", encoding="utf-8") as handle:
@@ -121,6 +121,10 @@ class TestRobustness:
         # certificates over the old LP column order: not served either.
         self._assert_old_schema_is_a_miss(tmp_path, 10)
 
+    def test_v11_record_is_a_miss(self, tmp_path):
+        # v11 records carry the retired ``domain`` field: not served either.
+        self._assert_old_schema_is_a_miss(tmp_path, 11)
+
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(str(tmp_path))
         store.put(_result())
@@ -143,36 +147,26 @@ class TestRobustness:
         assert list(store.iter_hashes()) == sorted(hashes)
 
 
-class TestDomainIsolation:
-    """Results cached under one abstract domain are never served to the other."""
+class TestOneEngine:
+    """Records and engine fingerprints name no entailment backend."""
 
-    def test_domain_results_never_alias(self, tmp_path):
+    def test_records_carry_no_domain(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        fm_job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "fm"})
-        poly_job = AnalysisJob.create("rdwalk", RDWALK, {"domain": "polyhedra"})
-        assert fm_job.job_hash != poly_job.job_hash
+        result = run_job(AnalysisJob.create("rdwalk", RDWALK))
+        store.put(result)
+        path = store._path(result.job_hash)
+        record = json.loads(open(path, encoding="utf-8").read())
+        assert "domain" not in record
+        assert store.get(result.job_hash) == result
 
-        fm_result = run_job(fm_job)
-        store.put(fm_result)
-        assert fm_result.domain == "fm"
-        # The polyhedra job misses: the fm record cannot leak across.
-        assert store.get(poly_job.job_hash) is None
-        assert store.stats.misses == 1
+    def test_engine_fingerprint_tracks_the_process_engine(self):
+        from repro.logic.entailment import (engine_fingerprint, get_engine,
+                                            reset_engine)
 
-        poly_result = run_job(poly_job)
-        store.put(poly_result)
-        assert poly_result.domain == "polyhedra"
-        fetched = store.get(poly_job.job_hash)
-        assert fetched is not None
-        assert fetched.domain == "polyhedra"
-        # Exact backends: distinct records, identical payloads.
-        assert fetched.bound == fm_result.bound
-
-    def test_engine_fingerprint_tracks_domain(self):
-        from repro.logic.entailment import engine_fingerprint
-
-        fm_print = engine_fingerprint("fm")
-        poly_print = engine_fingerprint("polyhedra")
-        assert fm_print["domain"] == "fm"
-        assert poly_print["domain"] == "polyhedra"
-        assert fm_print["engine_id"] != poly_print["engine_id"]
+        before = engine_fingerprint()
+        assert before["engine_id"] == id(get_engine())
+        assert "domain" not in before
+        fresh = reset_engine()
+        after = engine_fingerprint()
+        assert after["engine_id"] == id(fresh) != before["engine_id"]
+        assert after["queries"] == after["entails_entries"] == 0
