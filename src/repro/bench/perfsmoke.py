@@ -199,6 +199,8 @@ def run_suite(group: str = "linear",
             "prepare_seconds": round(stats.prepare_seconds, 4) if stats else None,
             "build_seconds": round(stats.build_seconds_total(), 4) if stats else None,
             "solve_seconds": round(stats.solve_seconds_total(), 4) if stats else None,
+            "lp_variables": result.lp_variables,
+            "lp_constraints": result.lp_constraints,
             "lp_solves": stats.cold_solves if stats else None,
             "skipped_solves": stats.skipped_solves if stats else None,
             "fm_queries": delta["queries"],
@@ -786,10 +788,12 @@ GATED_TIMES = (("wall_seconds", "wall"), ("prepare_seconds", "prepare"),
                ("escalated_wall_seconds", "escalated wall"))
 
 #: Per-program counts :func:`find_regressions` gates: the entailment queries
-#: an analysis issues and its LP solves (an extra objective stage or a
-#: broken already-optimal skip shows here before it shows in seconds).  A
-#: count does not jitter, so it needs no floor.
+#: an analysis issues, its LP columns (a lost rewrite reduction shows here
+#: before it shows in seconds) and its LP solves (an extra objective stage
+#: or a broken already-optimal skip).  A count does not jitter, so it needs
+#: no floor.
 GATED_COUNTS = (("fm_queries", "entailment queries"),
+                ("lp_variables", "LP columns"),
                 ("lp_solves", "LP solves"))
 
 

@@ -58,8 +58,6 @@ class AnalyzerConfig:
     max_offsets: int = 16
     #: LP tolerance used when fixing intermediate objectives.
     lp_tolerance: float = 1e-7
-    #: Coefficients below this magnitude are treated as floating-point noise.
-    coefficient_epsilon: float = 1e-6
     #: Run the static lint passes (:mod:`repro.lang.analysis`) before the
     #: derivation.  Diagnostics are attached to the result in every case;
     #: error-severity diagnostics abort the analysis with

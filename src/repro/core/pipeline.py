@@ -40,14 +40,12 @@ from repro.core.certificates import build_certificate
 from repro.core.constraints import AffExpr, ConstraintSystem
 from repro.core.derivation import DerivationBuilder
 from repro.core.lpsession import LPSession
-from repro.core.solver import (AssembledSystem, IterativeMinimizer, LPSolution,
-                               SolverError)
+from repro.core.solver import AssembledSystem, IterativeMinimizer, SolverError
 from repro.core.specs import ProcedureSpec, SpecContext
 from repro.lang import ast
 from repro.lang.errors import AnalysisError
 from repro.lang.transform import counter_as_resource, inline_calls, modified_variables
 from repro.logic.absint import AbstractInterpreter
-from repro.utils.polynomials import Polynomial
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.analyzer import AnalyzerConfig, AnalysisResult
@@ -73,6 +71,9 @@ class DegreeStage:
     #: Objective stages of this attempt answered without an LP solve
     #: (already optimal at the previous stage's point).
     skipped_solves: int = 0
+    #: Columns reduced-cost fixing bounded at 0 for this attempt's later
+    #: objective stages (``LPSession.fixed``).
+    fixed_columns: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -84,6 +85,7 @@ class DegreeStage:
             "feasible": self.feasible,
             "cold_solves": self.cold_solves,
             "skipped_solves": self.skipped_solves,
+            "fixed_columns": self.fixed_columns,
         }
 
 
@@ -234,6 +236,7 @@ class AnalysisPipeline:
         stage.solve_seconds = elapsed
         stage.cold_solves = session.solves
         stage.skipped_solves = session.skipped
+        stage.fixed_columns = session.fixed
         if failure is not None:
             # Not a verdict on the program: neither cached nor escalated.
             return AnalysisResult(
@@ -249,7 +252,9 @@ class AnalysisPipeline:
                 f"the LP is infeasible for degree {degree} "
                 "(no bound exists for the chosen base functions)",
                 failure_kind="no-bound")
-        bound_poly = self._extract_bound(derived.initial, solution)
+        # The bound is the instantiated entry annotation, every coefficient
+        # kept: dropping a small positive one would under-report it.
+        bound_poly = derived.initial.instantiate(solution.assignment)
         builder = derived.builder
         certificate = build_certificate(bound_poly, builder.steps,
                                         builder.weakens, solution.assignment)
@@ -391,12 +396,3 @@ class AnalysisPipeline:
             weighted = coeff * weight
             by_degree[degree] = by_degree.get(degree, AffExpr.zero()) + weighted
         return [by_degree[d] for d in sorted(by_degree, reverse=True)]
-
-    # -- bound extraction -----------------------------------------------------
-
-    def _extract_bound(self, initial: PotentialAnnotation,
-                       solution: LPSolution) -> Polynomial:
-        polynomial = initial.instantiate(solution.assignment)
-        cleaned = {monomial: coeff for monomial, coeff in polynomial.terms.items()
-                   if abs(float(coeff)) > self.config.coefficient_epsilon}
-        return Polynomial(cleaned)

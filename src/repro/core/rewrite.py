@@ -24,7 +24,9 @@ interval atoms, ``M`` a base monomial, and ``Gamma`` the logical context):
    (see :func:`_build_atom_rewrites`).
 4. Products ``F * M`` of a degree-1 rewrite function with a base monomial --
    non-negative because both factors are, covering the polynomial cases
-   (e.g. ``|[0,n]|^2`` telescoping).
+   (e.g. ``|[0,n]|^2`` telescoping).  A product that is the sum of other
+   products in the list (a telescoping pair across intermediate offsets)
+   is left out: it adds a column but no solution.
 
 This matches the heuristic described in Sec. 7.1 ("for the base function
 max(0, n-x) we add the rewrite function max(0,n-x) - max(0,n-x-1) - 1 ...")
@@ -86,6 +88,11 @@ def _atoms_of(monomials: Iterable[Monomial]) -> List[IntervalAtom]:
     return atoms
 
 
+#: A degree-1 rewrite as :func:`_atom_rewrites` records it for lifting:
+#: ``(polynomial, reason, primary atom, chain)``.
+DegreeOne = Tuple[Polynomial, object, IntervalAtom,
+                  Optional[Tuple[IntervalAtom, ...]]]
+
 #: Memo for :func:`generate_rewrites`; repeated weakenings at the same
 #: program point (loop entry/exit, degree retries) ask for identical sets.
 _REWRITE_CACHE: Dict[Tuple, List[RewriteFunction]] = {}
@@ -142,20 +149,19 @@ def generate_rewrites(context: Context,
 #: :mod:`repro.core.pipeline` skips the pairwise-transfer generation the
 #: degree-1 walk already did.
 _ATOM_REWRITE_CACHE: Dict[Tuple, Tuple[List[RewriteFunction],
-                                       List[Tuple[Polynomial, object,
-                                                  IntervalAtom]]]] = {}
+                                       List[DegreeOne]]] = {}
 _ATOM_REWRITE_CACHE_LIMIT = 4096
 
 
 def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
                    max_pair_rewrites: int
-                   ) -> Tuple[List[RewriteFunction],
-                              List[Tuple[Polynomial, object, IntervalAtom]]]:
+                   ) -> Tuple[List[RewriteFunction], List[DegreeOne]]:
     """Constant-extraction and pair-transfer rewrites over an atom pool.
 
     Returns ``(rewrites, degree_one)`` where ``degree_one`` additionally
-    records ``(polynomial, reason, primary atom)`` for the degree-lifting
-    products of :func:`_generate_rewrites`.  The returned lists are shared
+    records ``(polynomial, reason, primary atom, chain)`` for the
+    degree-lifting products of :func:`_generate_rewrites` (``chain``: see
+    :func:`_build_atom_rewrites`).  The returned lists are shared
     memo entries: callers must not mutate them.
     """
     cache_key = (context, atoms, max_pair_rewrites)
@@ -171,9 +177,7 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
 
 def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
                          max_pair_rewrites: int
-                         ) -> Tuple[List[RewriteFunction],
-                                    List[Tuple[Polynomial, object,
-                                               IntervalAtom]]]:
+                         ) -> Tuple[List[RewriteFunction], List[DegreeOne]]:
     """The unmemoised body of :func:`_atom_rewrites`.
 
     Pair transfers work on the pool's structure, not on each pair.  Write
@@ -190,11 +194,16 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     Pairs are emitted as the pairwise enumeration ordered them: constant
     pairs by increasing shift (ties in pool order), then shared-variable
     pairs in pool order, until ``max_pair_rewrites`` have been emitted.
+
+    A constant pair ``A_i - A_k - c`` whose group has atoms strictly
+    between the two offsets is *composite* when it equals the sum of the
+    pairs between neighbouring offsets along the way (the chain); its
+    ``degree_one`` entry then names the chain's base atoms, else None.
     """
     unit = Monomial.one()
     monomials = [Monomial.of_atom(atom) for atom in atoms]
     rewrites: List[RewriteFunction] = []
-    degree_one: List[Tuple[Polynomial, object, IntervalAtom]] = []
+    degree_one: List[DegreeOne] = []
 
     # 2. constant extraction from single atoms (the lower bounds are reused
     #    by the pair rewrites below).
@@ -206,7 +215,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
             poly = Polynomial._raw({monomial: 1, unit: -lower})
             reason = (lambda a=atom, c=lower: f"{a} >= {c} under context")
             rewrites.append(RewriteFunction(poly, reason))
-            degree_one.append((poly, reason, atom))
+            degree_one.append((poly, reason, atom, None))
 
     # 3. transfers between pairs of atoms.
     groups: Dict[Tuple, int] = {}
@@ -222,14 +231,17 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
         group_of.append(group)
         offsets.append(diff.const_term)
 
-    def emit(i: int, j: int, gap) -> None:
-        """Append ``A_i - A_j - c`` for the largest sound ``c``, given
+    def constant_of(i: int, gap) -> Coeff:
+        """The largest sound ``c`` of ``A_i - A_j - c``, given
         ``gap = glb(D_i - D_j)``."""
         if gap > 0:
             # A positive extraction additionally needs D_A >= c.
             lower = lower_bounds[i]
             gap = 0 if lower is None or lower <= 0 else min(gap, lower)
-        constant = exact(gap)
+        return exact(gap)
+
+    def emit(i: int, j: int, constant: Coeff, chain=None) -> None:
+        """Append ``A_i - A_j - constant``."""
         terms = {monomials[i]: 1, monomials[j]: -1}
         if constant:
             terms[unit] = -constant
@@ -237,7 +249,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
         reason = (lambda x=atoms[i], y=atoms[j], c=constant:
                   f"{x} - {y} >= {c} under context")
         rewrites.append(RewriteFunction(poly, reason))
-        degree_one.append((poly, reason, atoms[i]))
+        degree_one.append((poly, reason, atoms[i], chain))
 
     # Constant pairs (the telescoping rewrites of Sec. 7.1) come first and
     # smaller shifts before larger ones: the rewrites between neighbouring
@@ -251,11 +263,38 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
                 gap = offset - offsets[j]
                 telescoping.append((abs(gap), i, j, gap))
     telescoping.sort()
+    # A pair across intermediate offsets is composite when it equals the
+    # sum of the pairs between neighbouring offsets from A_i to A_j (its
+    # chain), which have smaller shifts and so are emitted before it.  The
+    # chain's polynomials telescope to A_i - A_j - (sum of their
+    # constants), so that holds exactly when the constants add up.  Per
+    # group, in offset order: the atoms, and the running sums of those
+    # constants upwards and downwards.
+    ladders = []
+    rung = [0] * len(atoms)
+    for group in members:
+        ladder = sorted(group, key=offsets.__getitem__)
+        up, down = [0], [0]
+        for place, (low, high) in enumerate(zip(ladder, ladder[1:])):
+            rung[high] = place + 1
+            up.append(up[-1] + constant_of(low, offsets[low] - offsets[high]))
+            down.append(down[-1]
+                        + constant_of(high, offsets[high] - offsets[low]))
+        ladders.append(([atoms[index] for index in ladder], up, down))
     remaining = max_pair_rewrites
     for _shift, i, j, gap in telescoping:
         if remaining <= 0:
             break
-        emit(i, j, gap)
+        constant = constant_of(i, gap)
+        chain = None
+        start, end = rung[i], rung[j]
+        if abs(start - end) >= 2:
+            ladder, up, down = ladders[group_of[i]]
+            if end > start and up[end] - up[start] == constant:
+                chain = tuple(ladder[start:end])
+            elif end < start and down[start] - down[end] == constant:
+                chain = tuple(ladder[end + 1:start + 1])
+        emit(i, j, constant, chain)
         remaining -= 1
 
     # General pairs of atoms that share a variable, up to the budget.
@@ -277,7 +316,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
                 linear[key[0]] - linear[key[1]])
         if floor is None:
             continue
-        emit(i, j, floor + offsets[i] - offsets[j])
+        emit(i, j, constant_of(i, floor + offsets[i] - offsets[j]))
         remaining -= 1
     return rewrites, degree_one
 
@@ -326,23 +365,28 @@ def _generate_rewrites(context: Context,
                 higher_atoms.update(monomial.atoms())
         factors = [Monomial.of_atom(atom)
                    for atom in sorted(higher_atoms, key=lambda a: a.sort_key())]
-        lifted: List[RewriteFunction] = []
-        max_lifted = 2000
-        for poly, reason, base_atom in degree_one:
+        #    A composite telescoping pair whose chain atoms are all lifted
+        #    is, times each factor, the sum of its chain's lifts, which come
+        #    earlier: its column adds nothing to the LP and is left out.  It
+        #    still counts toward the cap of 2000 lifts, so the cap cuts
+        #    where it would with the column in.
+        budget = 2000
+        for poly, reason, base_atom, chain in degree_one:
             if higher_atoms and base_atom not in higher_atoms:
                 continue
             if poly.degree() + 1 > max_degree:
                 continue  # every factor is a single atom
-            for factor in factors:
-                lifted.append(RewriteFunction(
-                    poly.times_monomial(factor),
-                    reason=lambda r=reason, f=factor:
-                        f"({r() if callable(r) else r}) * {f}"))
-                if len(lifted) >= max_lifted:
-                    break
-            if len(lifted) >= max_lifted:
+            kept = factors
+            if chain is not None and higher_atoms.issuperset(chain):
+                kept = ()
+            rewrites.extend(RewriteFunction(
+                poly.times_monomial(factor),
+                reason=lambda r=reason, f=factor:
+                    f"({r() if callable(r) else r}) * {f}")
+                for factor in kept[:budget])
+            budget -= len(factors)
+            if budget <= 0:
                 break
-        rewrites.extend(lifted)
 
     return rewrites
 

@@ -20,7 +20,8 @@ module provides
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, TYPE_CHECKING)
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -78,6 +79,18 @@ def _highs_options() -> "highs.HighsOptions":
 
 
 _OPTIONS = _highs_options()
+
+#: HiGHS's dual feasibility tolerance (1e-7): a reduced cost above it is
+#: positive, not a rounding residue of zero.
+REDUCED_COST_TOLERANCE = _OPTIONS.dual_feasibility_tolerance
+
+
+class LPPoint(NamedTuple):
+    """An optimal vertex of one LP and HiGHS's reduced costs there."""
+
+    values: np.ndarray
+    #: The column duals, or None when HiGHS reports them invalid.
+    reduced_costs: Optional[np.ndarray]
 
 
 def _row_entries(rows: Iterable[AffExpr]
@@ -156,9 +169,11 @@ class AssembledSystem:
         return c
 
     def model(self, objective: Optional[AffExpr] = None,
-              extra: Sequence[Tuple[AffExpr, float]] = ()) -> "highs.HighsLp":
+              extra: Sequence[Tuple[AffExpr, float]] = (),
+              col_upper: Optional[np.ndarray] = None) -> "highs.HighsLp":
         """The HiGHS model: minimise ``objective`` subject to the base rows
-        and the ``extra`` stage rows ``expr <= bound``."""
+        and the ``extra`` stage rows ``expr <= bound``, with the columns'
+        upper bounds ``col_upper`` (default: none)."""
         start, index, value = self.start, self.index, self.value
         row_lower, row_upper = self.row_lower, self.row_upper
         if extra:
@@ -187,29 +202,34 @@ class AssembledSystem:
         lp.a_matrix_.value_ = value
         lp.col_cost_ = self.objective_vector(objective)
         lp.col_lower_ = self.col_lower
-        lp.col_upper_ = self.col_upper
+        lp.col_upper_ = self.col_upper if col_upper is None else col_upper
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
         return lp
 
     def solve(self, objective: Optional[AffExpr] = None,
-              extra: Sequence[Tuple[AffExpr, float]] = ()) -> Optional[np.ndarray]:
-        """Minimise ``objective`` over the system plus the ``extra`` rows.
+              extra: Sequence[Tuple[AffExpr, float]] = (),
+              col_upper: Optional[np.ndarray] = None) -> Optional[LPPoint]:
+        """Minimise ``objective`` over the system plus the ``extra`` rows
+        (see :meth:`model`).
 
-        Returns the optimal column values, or None when HiGHS proves the LP
+        Returns the optimal point, or None when HiGHS proves the LP
         infeasible; any other status raises :class:`SolverError`.
         """
         if self.num_vars == 0:
-            return np.zeros(0)
+            return LPPoint(np.zeros(0), np.zeros(0))
         solver = highs._Highs()
         solver.passOptions(_OPTIONS)
         status = highs.HighsModelStatus.kModelError
-        if solver.passModel(self.model(objective, extra)) \
+        if solver.passModel(self.model(objective, extra, col_upper)) \
                 != highs.HighsStatus.kError:
             ran = solver.run() != highs.HighsStatus.kError
             status = solver.getModelStatus()
             if ran and status == highs.HighsModelStatus.kOptimal:
-                return np.array(solver.getSolution().col_value)
+                solution = solver.getSolution()
+                return LPPoint(np.array(solution.col_value),
+                               np.array(solution.col_dual)
+                               if solution.dual_valid else None)
         if status == highs.HighsModelStatus.kInfeasible:
             return None
         raise SolverError(solver.modelStatusToString(status))
@@ -217,9 +237,11 @@ class AssembledSystem:
 
 def solve_lp(system: ConstraintSystem, objective: Optional[AffExpr] = None,
              extra: Sequence[Tuple[AffExpr, float]] = ()) -> Optional[np.ndarray]:
-    """Minimise ``objective`` subject to the system (see
+    """Minimise ``objective`` subject to the system: the optimal column
+    values, or None when the LP is infeasible (see
     :meth:`AssembledSystem.solve`)."""
-    return AssembledSystem(system).solve(objective, extra)
+    point = AssembledSystem(system).solve(objective, extra)
+    return None if point is None else point.values
 
 
 class IterativeMinimizer:
@@ -228,9 +250,12 @@ class IterativeMinimizer:
     The base LP matrices are assembled exactly once; each stage only adds
     its incremental objective-fixing row on top of them.  The stage rows
     live in an :class:`~repro.core.lpsession.LPSession`: the pipeline's
-    persistent one, or a transient one built here.  A stage that the
-    previous stage's optimum already solves (:func:`stage_already_optimal`)
-    keeps that optimum and is not re-solved; its fixing row is still added.
+    persistent one, or a transient one built here.  Fixing a solved stage
+    also bounds at 0 the columns its reduced costs prove to be 0 in every
+    optimum of that stage (:meth:`~repro.core.lpsession.LPSession.fix_objective`).
+    A stage that the previous stage's optimum already solves
+    (:func:`stage_already_optimal`) keeps that optimum and is not re-solved;
+    its fixing row is still added.
     """
 
     def __init__(self, system: ConstraintSystem, tolerance: float = 1e-6) -> None:

@@ -77,7 +77,12 @@ from repro.utils.polynomials import IntervalAtom, Monomial, Polynomial
 #: v12: the ``domain`` option and ``JobResult.domain`` are gone (one
 #: exact entailment backend), so jobs no longer carry a stamped domain and
 #: v11 records read as misses.
-SCHEMA_VERSION = 12
+#: v13: degree 2 leaves out the lifted rewrites that are sums of kept ones,
+#: and later objective stages run with columns fixed by reduced cost, so a
+#: certificate of either degree can come from another optimal vertex with
+#: other multipliers (bounds are unchanged); the pipeline record's stages
+#: gain ``fixed_columns``.  v12 records read as misses.
+SCHEMA_VERSION = 13
 
 #: Statuses a job can end in.  ``ok``/``no-bound``/``parse-error`` are
 #: deterministic outcomes of the job's content and therefore cacheable;

@@ -22,41 +22,37 @@ def polyhedra_oracle():
 class FuzzCorpus(NamedTuple):
     """The ``0x5EED`` fuzz programs, their analyses and every LP solved.
 
-    Every program is analysed under ``options``.  ``solves`` holds one ``(system, objective, stage rows, outcome)`` per
-    :meth:`AssembledSystem.solve` call; the outcome is the returned vector,
-    ``None`` (infeasible) or the raised :class:`SolverError`.
+    Every program is analysed under ``options``.  ``solves`` holds one
+    ``(system, objective, stage rows, column upper bounds, outcome)`` per
+    :meth:`AssembledSystem.solve` call and ``rewrites`` one ``(arguments,
+    result)`` per :func:`~repro.core.rewrite.generate_rewrites` call (see
+    :mod:`lp_capture`).
     """
 
     options: Dict[str, int]
     programs: List[object]
     results: List[object]
     solves: List[tuple]
+    rewrites: List[tuple]
 
 
 @pytest.fixture(scope="session")
 def fuzz_corpus() -> FuzzCorpus:
     """The ``0x5EED`` fuzz corpus, analysed once per session with every LP
-    solve captured."""
+    solve and every rewrite generation captured."""
+    from lp_capture import capturing_rewrites, capturing_solve
+    from repro.core import derivation
     from repro.core.analyzer import analyze_program
-    from repro.core.solver import AssembledSystem, SolverError
+    from repro.core.solver import AssembledSystem
     from test_program_fuzz import PROGRAM_COUNT, random_program
 
-    corpus = FuzzCorpus({"max_degree": 1, "degree_limit": 2}, [], [], [])
-    original = AssembledSystem.solve
-
-    def capture(self, objective=None, extra=()):
-        extra = list(extra)
-        try:
-            values = original(self, objective, extra)
-        except SolverError as exc:
-            corpus.solves.append((self.system, objective, extra, exc))
-            raise
-        corpus.solves.append((self.system, objective, extra, values))
-        return values
-
+    corpus = FuzzCorpus({"max_degree": 1, "degree_limit": 2}, [], [], [], [])
     rng = random.Random(0x5EED)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AssembledSystem, "solve", capture)
+        patch.setattr(AssembledSystem, "solve",
+                      capturing_solve(corpus.solves))
+        patch.setattr(derivation, "generate_rewrites",
+                      capturing_rewrites(corpus.rewrites))
         for _ in range(PROGRAM_COUNT):
             program = random_program(rng)
             corpus.programs.append(program)

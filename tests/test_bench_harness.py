@@ -12,6 +12,7 @@ from repro.bench.figures import (
     sweep_series,
 )
 from repro.bench.registry import get_benchmark
+from repro.core.analyzer import analyze_program
 from repro.bench.reporting import format_percentage, render_table, rows_to_csv
 from repro.bench.table1 import (
     TABLE_HEADERS,
@@ -233,6 +234,10 @@ class TestPerfSmoke:
         row, = report["programs"]
         # ber's second objective stage is already optimal after the first.
         assert (row["lp_solves"], row["skipped_solves"]) == (1, 1)
+        bench = get_benchmark("ber")
+        result = analyze_program(bench.build(), **bench.analyzer_options)
+        assert (row["lp_variables"], row["lp_constraints"]) \
+            == (result.lp_variables, result.lp_constraints) != (0, 0)
 
     def test_programs_filter_unknown_selector(self, tmp_path, capsys):
         from repro.bench.perfsmoke import main
@@ -416,6 +421,19 @@ class TestPerfCheck:
             == ["a: LP solves 2 vs baseline 1 (+100%)"]
         assert find_regressions(report(1), report(1)) == []
         assert find_regressions(report(1), report(2)) == []
+
+    def test_flags_extra_lp_columns(self):
+        from repro.bench.perfsmoke import find_regressions
+
+        # A lost rewrite reduction: more LP columns while the seconds held.
+        def report(columns):
+            return {"programs": [{"name": "a", "wall_seconds": 1.0,
+                                  "lp_variables": columns}]}
+
+        assert find_regressions(report(13000), report(10000)) \
+            == ["a: LP columns 13000 vs baseline 10000 (+30%)"]
+        assert find_regressions(report(10000), report(10000)) == []
+        assert find_regressions(report(8000), report(10000)) == []
 
     def test_flags_escalated_wall_regression(self):
         from repro.bench.perfsmoke import find_regressions

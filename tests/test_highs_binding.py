@@ -20,14 +20,15 @@ import scipy
 #: binding class they belong to (``a_matrix_`` is a ``HighsSparseMatrix``).
 INSTANCE_ATTRIBUTES = {
     "HighsOptions": ("presolve", "simplex_strategy", "highs_debug_level",
-                     "output_flag", "log_to_console"),
+                     "output_flag", "log_to_console",
+                     "dual_feasibility_tolerance"),
     "HighsLp": ("num_col_", "num_row_", "a_matrix_", "col_cost_",
                 "col_lower_", "col_upper_", "row_lower_", "row_upper_"),
     "HighsSparseMatrix": ("num_col_", "num_row_", "format_", "start_",
                           "index_", "value_"),
     "_Highs": ("passOptions", "passModel", "run", "getModelStatus",
                "getSolution", "modelStatusToString"),
-    "HighsSolution": ("col_value",),
+    "HighsSolution": ("col_value", "col_dual", "dual_valid"),
 }
 
 

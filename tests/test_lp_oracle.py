@@ -5,10 +5,11 @@ HiGHS with the options and row order ``linprog(method="highs")`` uses.
 These tests capture every LP solve of the registry programs (cold at their
 registry degree, and the degree-2 ones escalating from degree 1) and of the
 fuzz corpus, solve each captured LP again through ``linprog`` on matrices
-assembled independently from the same system and stage rows, and require
-the same vector (``np.array_equal``, not a tolerance) and the same
-infeasible verdicts.  Identical vectors are what keep every bound,
-certificate and job hash unchanged.
+assembled independently from the same system, stage rows and column bounds
+(reduced-cost fixing bounds columns at 0), and require the same vector
+(``np.array_equal``, not a tolerance) and the same infeasible verdicts.
+Identical vectors are what keep every bound, certificate and job hash
+unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro.bench.registry import all_benchmarks, polynomial_benchmarks
 from repro.core.analyzer import analyze_program
 from repro.core.constraints import AffExpr, ConstraintSystem
 from repro.core.solver import AssembledSystem, SolverError
+
+from lp_capture import capturing_solve
 
 
 #: ``linprog``'s status for a proven-infeasible LP.
@@ -43,10 +46,12 @@ def _rows_matrix(rows: Sequence[AffExpr], num_vars: int, sign: float = 1.0):
 
 
 def linprog_reference(system: ConstraintSystem, objective: Optional[AffExpr],
-                      extra: Sequence[Tuple[AffExpr, float]]):
+                      extra: Sequence[Tuple[AffExpr, float]],
+                      col_upper: Optional[np.ndarray] = None):
     """``linprog(method="highs")`` on ``system`` plus the stage rows
     ``expr <= bound``: ``ge`` rows as ``-expr <= const``, then the stage
-    rows, as ``A_ub``; ``eq`` rows as ``A_eq``."""
+    rows, as ``A_ub``; ``eq`` rows as ``A_eq``.  ``col_upper`` gives the
+    columns' upper bounds (default: none)."""
     num_vars = system.num_variables
     ge_rows = [c.expr for c in system.constraints if c.kind == "ge"]
     eq_rows = [c.expr for c in system.constraints if c.kind == "eq"]
@@ -64,42 +69,28 @@ def linprog_reference(system: ConstraintSystem, objective: Optional[AffExpr],
     if objective is not None:
         for var, coeff in objective.term_items():
             cost[var.index] = float(coeff)
-    bounds = [(0, None) if var.nonneg else (None, None)
-              for var in system.variables]
+    if col_upper is None:
+        col_upper = np.full(num_vars, np.inf)
+    bounds = [(0 if var.nonneg else None,
+               None if np.isinf(upper) else upper)
+              for var, upper in zip(system.variables, col_upper)]
     return linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                    bounds=bounds, method="highs")
 
 
-#: One captured solve: the system, objective, stage rows and what the
-#: direct path returned (values, None, or the :class:`SolverError`).
-Captured = Tuple[ConstraintSystem, Optional[AffExpr],
-                 List[Tuple[AffExpr, float]], object]
-
-
 @pytest.fixture
-def captured(monkeypatch) -> List[Captured]:
-    """Every :meth:`AssembledSystem.solve` call made while the test runs."""
-    calls: List[Captured] = []
-    original = AssembledSystem.solve
-
-    def capture(self, objective=None, extra=()):
-        extra = list(extra)
-        try:
-            result = original(self, objective, extra)
-        except SolverError as exc:
-            calls.append((self.system, objective, extra, exc))
-            raise
-        calls.append((self.system, objective, extra, result))
-        return result
-
-    monkeypatch.setattr(AssembledSystem, "solve", capture)
+def captured(monkeypatch) -> List[tuple]:
+    """Every :meth:`AssembledSystem.solve` call made while the test runs,
+    as ``(system, objective, stage rows, column upper bounds, outcome)``."""
+    calls: List[tuple] = []
+    monkeypatch.setattr(AssembledSystem, "solve", capturing_solve(calls))
     return calls
 
 
-def assert_matches_linprog(calls: List[Captured]) -> None:
+def assert_matches_linprog(calls: List[tuple]) -> None:
     assert calls, "no LP was solved"
-    for number, (system, objective, extra, ours) in enumerate(calls):
-        reference = linprog_reference(system, objective, extra)
+    for number, (system, objective, extra, upper, ours) in enumerate(calls):
+        reference = linprog_reference(system, objective, extra, upper)
         where = f"LP {number} ({len(extra)} stage rows)"
         if isinstance(ours, SolverError):
             assert reference.status not in (0, LINPROG_INFEASIBLE) \
@@ -110,7 +101,7 @@ def assert_matches_linprog(calls: List[Captured]) -> None:
                 f"{where}: infeasible; linprog: {reference.message}"
         else:
             assert reference.success, f"{where}: linprog {reference.message}"
-            assert np.array_equal(ours, reference.x), where
+            assert np.array_equal(ours.values, reference.x), where
 
 
 ESCALATING = {"max_degree": 1, "auto_degree": True, "degree_limit": 2}
@@ -147,6 +138,11 @@ def test_infeasible_and_unbounded_verdicts():
     # Infeasible through a stage row: x >= 1 and x <= 0.
     assert assembled.solve(x, [(x, 0.0)]) is None
     assert linprog_reference(system, x, [(x, 0.0)]).status \
+        == LINPROG_INFEASIBLE
+    # ... and through a column bound.
+    fixed = np.array([0.0, np.inf])
+    assert assembled.solve(x, [], fixed) is None
+    assert linprog_reference(system, x, [], fixed).status \
         == LINPROG_INFEASIBLE
     # Unbounded: linprog fails without an infeasible verdict; we raise.
     with pytest.raises(SolverError) as excinfo:

@@ -23,15 +23,15 @@ from repro.bench.registry import (
 
 #: (name, bound, lp_variables, lp_constraints) at degree 2.
 POLYNOMIAL_SHAPES = [
-    ("complex", "6*|[0, m]|*|[0, n]| + |[1, y]| + 3*|[0, n]| + 1", 8577, 1226),
-    ("multirace", "2*|[0, m]|*|[0, n]| + 4*|[0, n]|", 5338, 629),
-    ("pol04", "2.25*|[1, x]|*|[0, x]| + 3*|[0, x]|", 4308, 364),
-    ("pol05", "|[1, x]|*|[0, x]| + |[0, x]|", 4308, 364),
-    ("pol06", "|[0, s]|^2 + |[min, s]|", 9830, 1227),
-    ("pol07", "0.75*|[1, n]|^2 + 1.25*|[1, n]|", 4492, 374),
-    ("rdbub", "3*|[1, n]|*|[0, n]| + 3*|[0, n]|", 4038, 364),
-    ("recursive", "0.25*|[l, h]|^2 + 1.25*|[l, h]|", 9958, 1224),
-    ("trader", "5*|[0, s]|^2 + 5*|[smin, s]|", 12890, 1853),
+    ("complex", "6*|[0, m]|*|[0, n]| + |[1, y]| + 3*|[0, n]| + 1", 6489, 1226),
+    ("multirace", "2*|[0, m]|*|[0, n]| + 4*|[0, n]|", 4320, 629),
+    ("pol04", "2.25*|[1, x]|*|[0, x]| + 3*|[0, x]|", 3618, 364),
+    ("pol05", "|[1, x]|*|[0, x]| + |[0, x]|", 3618, 364),
+    ("pol06", "|[0, s]|^2 + |[min, s]|", 7153, 1227),
+    ("pol07", "0.75*|[1, n]|^2 + 1.25*|[1, n]|", 3716, 374),
+    ("rdbub", "3*|[1, n]|*|[0, n]| + 3*|[0, n]|", 3348, 364),
+    ("recursive", "0.25*|[l, h]|^2 + 1.25*|[l, h]|", 6886, 1224),
+    ("trader", "5*|[0, s]|^2 + 5*|[smin, s]|", 10839, 1853),
 ]
 
 SCHEDULES = {

@@ -143,10 +143,14 @@ def _exact_terms(poly: Polynomial):
 
 
 def _rendered(result):
+    """The rewrites and degree-1 entries in comparable form.  The grouped
+    generator's entries also carry a composite pair's chain, which the
+    pairwise reference does not compute (``tests/test_lp_reductions.py``
+    checks what the chain is used for)."""
     rewrites, degree_one = result
     return ([(_exact_terms(r.polynomial), r.reason) for r in rewrites],
             [(_exact_terms(poly), reason() if callable(reason) else reason,
-              atom) for poly, reason, atom in degree_one])
+              atom) for poly, reason, atom, *_chain in degree_one])
 
 
 def _distinct_group_pairs(atoms) -> int:

@@ -97,7 +97,7 @@ class TestRobustness:
         store.put(result)
         path = store._path(result.job_hash)
         record = json.loads(open(path, encoding="utf-8").read())
-        assert record["schema"] == SCHEMA_VERSION == 12
+        assert record["schema"] == SCHEMA_VERSION == 13
         record["schema"] = schema
         record["checksum"] = record_checksum(record)
         with open(path, "w", encoding="utf-8") as handle:
@@ -124,6 +124,11 @@ class TestRobustness:
     def test_v11_record_is_a_miss(self, tmp_path):
         # v11 records carry the retired ``domain`` field: not served either.
         self._assert_old_schema_is_a_miss(tmp_path, 11)
+
+    def test_v12_record_is_a_miss(self, tmp_path):
+        # v12 degree-2 certificates can use composite telescoping lifts
+        # that v13 no longer generates: not served either.
+        self._assert_old_schema_is_a_miss(tmp_path, 12)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(str(tmp_path))
