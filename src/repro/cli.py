@@ -8,8 +8,8 @@ Usage::
     absynth-py figures [--figure 8|appendix] [--engine vec] [--runs N]
     absynth-py bench [--group linear|polynomial|all] [--quick] [--workers N]
     absynth-py batch DIR|FILE|@group|name... [--workers N] [--cache-dir DIR]
-    absynth-py serve [--workers N] [--cache-dir DIR]
-    absynth-py serve --async [--port P] [--queue-limit N] [--hot-cache-size N]
+    absynth-py serve [--async [--host H] [--port P]] [--workers N]
+                     [--cache-dir DIR] [--queue-limit N] [--hot-cache-size N]
     absynth-py store stats [--cache-dir DIR] [--json]
     absynth-py store prune [--max-age AGE] [--max-bytes SIZE]
     absynth-py lint program.imp|@all|name... [--strict] [--json]
@@ -23,10 +23,11 @@ benchmarks accepted by name, unfinished-run accounting); ``figures``
 regenerates the Figure 8 / Appendix F data series; ``bench`` regenerates
 Table 1; ``batch`` fans a set of programs out over the
 :mod:`repro.service` scheduler with the persistent result cache; ``serve``
-runs the line-oriented JSON analysis service on stdin/stdout, or -- with
-``--async`` -- the concurrent TCP gateway (request coalescing, tiered
-cache, backpressure; see :mod:`repro.service.gateway`); ``store`` inspects
-and prunes the shared on-disk result cache.
+runs the analysis gateway (tiered cache, request coalescing, backpressure;
+see :mod:`repro.service.gateway`) as a JSON-lines service on stdin/stdout,
+one request at a time, or -- with ``--async`` -- over TCP for many
+concurrent clients; ``store`` inspects and prunes the shared on-disk result
+cache.
 
 Exit codes are distinct per failure class so scripts can tell them apart:
 ``0`` success, ``2`` parse error, ``3`` no bound found (the LP is
@@ -454,31 +455,30 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service import gateway
+    from repro.service.retry import RetryPolicy
+
     default_options: Dict[str, object] = {}
     if args.degree_limit is not None:
         default_options["degree_limit"] = args.degree_limit
+    retry = None
+    if args.retry_budget is not None:
+        retry = RetryPolicy(budget=args.retry_budget)
+    service = gateway.AnalysisGateway(
+        store=_make_store(args), workers=args.workers,
+        queue_limit=(args.queue_limit if args.queue_limit is not None
+                     else gateway.DEFAULT_QUEUE_LIMIT),
+        hot_cache_size=(args.hot_cache_size
+                        if args.hot_cache_size is not None
+                        else gateway.DEFAULT_HOT_CACHE_SIZE),
+        default_options=default_options,
+        timeout=args.timeout, retry=retry)
     if args.async_gateway:
-        from repro.service import gateway
-        from repro.service.retry import RetryPolicy
-
-        retry = None
-        if args.retry_budget is not None:
-            retry = RetryPolicy(budget=args.retry_budget)
         return gateway.run_gateway(
-            store=_make_store(args), workers=args.workers,
+            service,
             host=args.host if args.host is not None else gateway.DEFAULT_HOST,
-            port=args.port if args.port is not None else gateway.DEFAULT_PORT,
-            queue_limit=(args.queue_limit if args.queue_limit is not None
-                         else gateway.DEFAULT_QUEUE_LIMIT),
-            hot_cache_size=(args.hot_cache_size
-                            if args.hot_cache_size is not None
-                            else gateway.DEFAULT_HOT_CACHE_SIZE),
-            default_options=default_options,
-            timeout=args.timeout, retry=retry)
-    from repro.service.server import serve_stdio
-
-    return serve_stdio(store=_make_store(args), workers=args.workers,
-                       default_options=default_options)
+            port=args.port if args.port is not None else gateway.DEFAULT_PORT)
+    return gateway.run_stdio(service)
 
 
 def _parse_age(text: str) -> float:
@@ -663,9 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve analysis requests as JSON lines on "
                       "stdin/stdout, or over TCP with --async")
     serve.add_argument("--workers", type=int, default=0,
-                       help="worker processes (stdio: for 'batch' requests; "
-                            "--async: the supervised analysis pool, "
-                            "0 = inline)")
+                       help="worker processes of the supervised analysis "
+                            "pool (0 = inline)")
     serve.add_argument("--cache-dir", default=None,
                        help="persistent result cache directory")
     serve.add_argument("--no-cache", action="store_true",
@@ -675,9 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests that do not set one (part of the "
                             "job hash)")
     serve.add_argument("--async", dest="async_gateway", action="store_true",
-                       help="run the concurrent TCP gateway (JSON lines, "
-                            "request coalescing, tiered cache, "
-                            "backpressure) instead of the stdio loop")
+                       help="serve many concurrent clients over TCP "
+                            "instead of one request at a time on stdio")
     serve.add_argument("--host", default=None,
                        help="gateway bind address (default: 127.0.0.1; "
                             "requires --async)")
@@ -686,18 +684,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "ephemeral; requires --async)")
     serve.add_argument("--queue-limit", type=int, default=None,
                        help="jobs admitted but not yet resolved before "
-                            "the gateway answers 'busy' (default: 64; "
-                            "requires --async)")
+                            "the gateway answers 'busy' (default: 64)")
     serve.add_argument("--hot-cache-size", type=int, default=None,
                        help="entries in the in-memory LRU above the disk "
                             "store, 0 disables the hot tier (default: "
-                            "256; requires --async)")
+                            "256)")
     serve.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-clock budget in seconds "
-                            "(requires --async and --workers >= 1)")
+                            "(requires --workers >= 1)")
     serve.add_argument("--retry-budget", type=int, default=None,
                        help="supervised retry cap after worker-pool "
-                            "breaks (requires --async)")
+                            "breaks")
     serve.set_defaults(func=_cmd_serve, _subparser=serve)
 
     store = subparsers.add_parser(
@@ -760,14 +757,10 @@ def _validate_args(parser: argparse.ArgumentParser,
         subparser.error("--timeout requires --workers >= 1 (inline "
                         "execution cannot preempt a running job)")
     if args.command == "serve" and not args.async_gateway:
-        for flag, name in ((args.host, "--host"), (args.port, "--port"),
-                           (args.queue_limit, "--queue-limit"),
-                           (args.hot_cache_size, "--hot-cache-size"),
-                           (args.timeout, "--timeout"),
-                           (args.retry_budget, "--retry-budget")):
+        for flag, name in ((args.host, "--host"), (args.port, "--port")):
             if flag is not None:
-                subparser.error(f"{name} requires --async (the stdio loop "
-                                f"has no gateway)")
+                subparser.error(f"{name} requires --async (stdio has no "
+                                f"address)")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

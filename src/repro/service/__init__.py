@@ -1,4 +1,4 @@
-"""Batch-analysis orchestration: jobs, scheduler, persistent store, server.
+"""Batch-analysis orchestration: jobs, scheduler, persistent store, gateway.
 
 This layer turns the one-shot analyzer (:mod:`repro.core.analyzer`) into a
 throughput-oriented system:
@@ -15,7 +15,10 @@ throughput-oriented system:
   the chaos tests and the CI chaos leg;
 * :mod:`repro.service.store` -- the on-disk content-addressed result cache
   (checksummed records, corrupt-entry quarantine);
-* :mod:`repro.service.server` -- the ``repro serve`` JSON request loop.
+* :mod:`repro.service.cache` -- the in-process hot LRU above the store;
+* :mod:`repro.service.gateway` -- ``repro serve``: one request dispatcher
+  over the cache tiers and a supervised pool, answering JSON lines on
+  stdin/stdout or, with ``--async``, over TCP.
 
 See ARCHITECTURE.md for where this sits in the layer cake.
 """
@@ -27,7 +30,6 @@ from repro.service.jobs import (AnalysisJob, JobResult, bound_from_payload,
 from repro.service.retry import RetryPolicy
 from repro.service.scheduler import (BatchReport, JobOutcome, SchedulerConfig,
                                      default_worker_count, run_batch, run_jobs)
-from repro.service.server import AnalysisServer, serve_stdio
 from repro.service.store import ResultStore, default_cache_dir
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "job_from_file", "run_job",
     "BatchReport", "JobOutcome", "SchedulerConfig", "default_worker_count",
     "run_batch", "run_jobs",
-    "AnalysisServer", "serve_stdio",
     "ResultStore", "default_cache_dir",
     "FaultRegistry", "FaultSpec", "InjectedFault", "unit_fraction",
     "RetryPolicy",

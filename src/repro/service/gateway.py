@@ -1,12 +1,8 @@
-"""The always-on analysis gateway: an asyncio JSON-lines socket front end.
+"""The analysis gateway: one request dispatcher behind two transports.
 
-``repro serve`` (stdio, :mod:`repro.service.server`) answers one request at
-a time -- one slow ``analyze`` stalls every other caller.  The gateway is
-the concurrent front end the service layer was growing toward: an asyncio
-TCP server (JSON lines, localhost by default) that accepts many
-simultaneous connections, validates and content-hashes every request into
-an :class:`~repro.service.jobs.AnalysisJob`, and answers it through four
-tiers, cheapest first:
+The gateway validates and content-hashes every request into an
+:class:`~repro.service.jobs.AnalysisJob` and answers it through four tiers,
+cheapest first:
 
 1. **hot memory** -- a size-bounded in-process LRU of deserialised results
    (:class:`~repro.service.cache.HotResultCache`), no disk I/O at all;
@@ -25,24 +21,39 @@ tiers, cheapest first:
    structured ``busy`` response with a ``retry_after`` estimate instead of
    accepting unbounded work -- backpressure, not collapse.
 
+Two transports feed the same dispatcher (:meth:`AnalysisGateway._process_line`),
+each handing it a ``respond(dict)`` coroutine that writes one response line:
+
+* **TCP** (``repro serve --async``, :func:`run_gateway`) -- an asyncio
+  JSON-lines server (localhost by default) that accepts many simultaneous
+  connections and runs each connection's requests concurrently.  Responses
+  carry the request ``id``, so clients may pipeline requests on one
+  connection and match answers by id -- completion order is not request
+  order.
+* **stdio** (``repro serve``, :func:`run_stdio`) -- one request per stdin
+  line, answered completely (a batch's every ``batch-result`` line and its
+  ``batch-done`` line) before the next line is read, so responses come out
+  in input order.  A daemon thread reads stdin, so a blocked read never
+  keeps the process from exiting.
+
 Batch requests stream: each job's result is written the moment it lands
 (``batch-result`` lines, then one ``batch-done`` summary), never held back
-at a batch barrier.  Responses carry the request ``id``, so clients may
-pipeline requests on one connection and match answers by id -- completion
-order is not request order.
+at a batch barrier.  Malformed lines and *any* per-request exception become
+an ``{"error": ...}`` response and the gateway keeps serving.
 
-Shutdown is graceful: SIGINT/SIGTERM (or a ``shutdown`` request) stops
-accepting connections, drains in-flight requests (their responses are
-still delivered and their store writes still land), retires the worker
-pool, and exits 0.
+Shutdown is graceful: SIGINT/SIGTERM, a ``shutdown`` request, stdin EOF or a
+stdout reader that hangs up stops taking requests, drains in-flight ones
+(their responses are still delivered and their store writes still land),
+retires the worker pool, and exits 0.
 
 Protocol (one JSON object per line, newline-terminated)::
 
     {"op": "analyze", "id": 1, "source": "proc main(n) {...}",
      "options": {"max_degree": 2}, "name": "mine"}
     {"op": "batch", "id": 2, "jobs": [{"source": "..."}, ...]}
-    {"op": "stats", "id": 3}
-    {"op": "health", "id": 4}
+    {"op": "lint", "id": 3, "source": "...", "options": {...}}
+    {"op": "stats", "id": 4}
+    {"op": "health", "id": 5}
     {"op": "ping"}
     {"op": "shutdown"}
 
@@ -59,17 +70,23 @@ from __future__ import annotations
 import asyncio
 import collections
 import contextlib
+import functools
 import json
+import os
+import signal
 import socket
+import sys
+import threading
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import (IO, Awaitable, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.service.cache import DEFAULT_HOT_CACHE_SIZE, HotResultCache
 from repro.service.jobs import AnalysisJob, JobResult
 from repro.service.retry import RetryPolicy
 from repro.service.scheduler import (SupervisedPool, _execute_job,
                                      apply_degradation)
-from repro.service.server import _job_from_request
 from repro.service.store import ResultStore
 
 #: Gateway defaults: loopback only (an analysis service executes nothing,
@@ -89,6 +106,36 @@ LINE_LIMIT = 4 * 1024 * 1024
 
 #: Fallback ``retry_after`` before any job has been timed.
 DEFAULT_JOB_WALL_ESTIMATE = 0.5
+
+#: How a transport writes one response line for the dispatcher.
+Respond = Callable[[Dict[str, object]], Awaitable[None]]
+
+
+def _request_options(payload: Dict[str, object]) -> Dict[str, object]:
+    """The request's ``options``: only a missing or null value means none."""
+    options = payload.get("options")
+    if options is None:
+        return {}
+    if not isinstance(options, dict):
+        raise ValueError("'options' must be an object")
+    return options
+
+
+def _job_from_request(payload: Dict[str, object], index: int = 0,
+                      defaults: Optional[Dict[str, object]] = None
+                      ) -> AnalysisJob:
+    source = payload.get("source")
+    if not isinstance(source, str) or not source.strip():
+        raise ValueError("request needs a non-empty 'source' string")
+    options = _request_options(payload)
+    if defaults:
+        # Server-level defaults (e.g. ``--degree-limit``) apply underneath
+        # the request's own options; merged options take part in the job
+        # hash, so cached results never alias across different defaults.
+        options = {**defaults, **options}
+    name = payload.get("name")
+    return AnalysisJob.create(str(name) if name else f"request-{index}",
+                              source, options)
 
 
 class GatewayBusy(Exception):
@@ -152,8 +199,6 @@ class AnalysisGateway:
         # Dispatcher threads bridge the event loop to the blocking pool
         # (or run jobs inline when workers=0); sized to the pool so a
         # submitted job always has a worker seat.
-        from concurrent.futures import ThreadPoolExecutor
-
         self._dispatch = ThreadPoolExecutor(
             max_workers=max(1, workers),
             thread_name_prefix="gateway-dispatch")
@@ -230,14 +275,13 @@ class AnalysisGateway:
         self.stats.connections += 1
         task = asyncio.current_task()
         self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
+        respond = functools.partial(self._send, writer, asyncio.Lock())
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(writer, write_lock,
-                                     {"error": "request line too long"})
+                    await respond({"error": "request line too long"})
                     break
                 if not line:
                     break   # client hung up
@@ -245,12 +289,11 @@ class AnalysisGateway:
                 if not stripped:
                     continue
                 if self._draining:
-                    await self._send(writer, write_lock, {
-                        "error": "gateway is shutting down",
-                        "status": "unavailable"})
+                    await respond({"error": "gateway is shutting down",
+                                   "status": "unavailable"})
                     continue
                 request = asyncio.ensure_future(
-                    self._process_line(stripped, writer, write_lock))
+                    self._process_line(stripped, respond))
                 self._request_tasks.add(request)
                 request.add_done_callback(self._request_tasks.discard)
         except asyncio.CancelledError:
@@ -262,10 +305,69 @@ class AnalysisGateway:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _process_line(self, line: bytes, writer: asyncio.StreamWriter,
-                            write_lock: asyncio.Lock) -> None:
+    async def serve_stdio(self, lines: Iterable[Union[bytes, str]],
+                          output: IO[str]) -> None:
+        """The stdio transport: answer ``lines`` in order, then drain.
+
+        Each request is answered completely before the next line is taken,
+        so responses leave in input order.  The loop ends at the end of
+        ``lines``, on a shutdown request or signal (after the request in
+        flight is answered), or when ``output`` raises ``BrokenPipeError``
+        (the reader hung up).  ``lines`` is consumed on a daemon thread: a
+        read blocked on an idle pipe or terminal cannot hold the process.
+        """
+        self._shutdown_event = asyncio.Event()
+        self.stats.connections += 1
+        loop = asyncio.get_running_loop()
+        queue: asyncio.Queue = asyncio.Queue()
+        # One line read ahead at most: input is consumed as it is served.
+        ready = threading.Semaphore(1)
+
+        def feed() -> None:
+            with contextlib.suppress(RuntimeError):   # the loop has closed
+                try:
+                    for line in lines:
+                        ready.acquire()
+                        loop.call_soon_threadsafe(queue.put_nowait, line)
+                finally:
+                    loop.call_soon_threadsafe(queue.put_nowait, None)
+
+        threading.Thread(target=feed, name="gateway-stdin",
+                         daemon=True).start()
+
+        async def respond(response: Dict[str, object]) -> None:
+            try:
+                output.write(json.dumps(response, separators=(",", ":"))
+                             + "\n")
+                output.flush()
+            except BrokenPipeError:
+                # The reader hung up: there is nobody left to answer.
+                self.request_shutdown()
+
+        stop = asyncio.ensure_future(self._shutdown_event.wait())
+        try:
+            while True:
+                getter = asyncio.ensure_future(queue.get())
+                await asyncio.wait((getter, stop),
+                                   return_when=asyncio.FIRST_COMPLETED)
+                if stop.done():
+                    getter.cancel()
+                    break
+                line = getter.result()
+                if line is None:
+                    break   # end of input
+                ready.release()
+                line = line.strip()
+                if line:
+                    await self._process_line(line, respond)
+        finally:
+            stop.cancel()
+        await self._drain()
+
+    async def _process_line(self, line: Union[bytes, str],
+                            respond: Respond) -> None:
         """Handle one request line; always answers exactly once (or, for a
-        batch, once per job plus a summary)."""
+        batch, once per job plus a summary) through ``respond``."""
         self.stats.requests += 1
         request_id = None
         try:
@@ -275,13 +377,13 @@ class AnalysisGateway:
             request_id = payload.get("id")
             op = payload.get("op", "analyze")
             if op == "batch":
-                await self._handle_batch(payload, writer, write_lock)
+                await self._handle_batch(payload, respond)
                 return
             if op == "shutdown":
                 response: Dict[str, object] = {"op": "shutdown", "ok": True}
                 if request_id is not None:
                     response["id"] = request_id
-                await self._send(writer, write_lock, response)
+                await respond(response)
                 self.request_shutdown()
                 return
             response = await self._handle_simple(op, payload)
@@ -302,7 +404,7 @@ class AnalysisGateway:
             response = {"error": f"{type(exc).__name__}: {exc}"}
         if request_id is not None:
             response.setdefault("id", request_id)
-        await self._send(writer, write_lock, response)
+        await respond(response)
 
     async def _handle_simple(self, op: str,
                              payload: Dict[str, object]) -> Dict[str, object]:
@@ -338,9 +440,7 @@ class AnalysisGateway:
         if not isinstance(source, str):
             raise ValueError("'lint' needs a 'source' string")
         name = str(payload.get("name") or "<request>")
-        options = payload.get("options") or {}
-        if not isinstance(options, dict):
-            raise ValueError("'options' must be an object")
+        options = _request_options(payload)
         # Mirror the analyzer's pre-flight seeding: the resource counter
         # is zero-initialized by convention.
         counter = options.get("resource_counter")
@@ -367,8 +467,7 @@ class AnalysisGateway:
         }
 
     async def _handle_batch(self, payload: Dict[str, object],
-                            writer: asyncio.StreamWriter,
-                            write_lock: asyncio.Lock) -> None:
+                            respond: Respond) -> None:
         """Fan a batch out and stream each result as it completes."""
         request_id = payload.get("id")
         raw_jobs = payload.get("jobs")
@@ -402,7 +501,7 @@ class AnalysisGateway:
             statuses[index] = str(response["status"])
             if request_id is not None:
                 response["id"] = request_id
-            await self._send(writer, write_lock, response)
+            await respond(response)
 
         await asyncio.gather(*(run_one(index, job)
                                for index, job in enumerate(jobs)))
@@ -416,7 +515,7 @@ class AnalysisGateway:
         }
         if request_id is not None:
             summary["id"] = request_id
-        await self._send(writer, write_lock, summary)
+        await respond(summary)
 
     # -- the tiers ---------------------------------------------------------
 
@@ -604,35 +703,29 @@ class AnalysisGateway:
 
 
 # ---------------------------------------------------------------------------
-# Synchronous entry point (the CLI's `serve --async`)
+# Synchronous entry points (the CLI's `serve --async` and `serve`)
 # ---------------------------------------------------------------------------
 
-def run_gateway(store: Optional[ResultStore] = None,
-                workers: int = 0,
-                host: str = DEFAULT_HOST,
-                port: int = DEFAULT_PORT,
-                queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                hot_cache_size: int = DEFAULT_HOT_CACHE_SIZE,
-                default_options: Optional[Dict[str, object]] = None,
-                timeout: Optional[float] = None,
-                retry: Optional[RetryPolicy] = None,
-                degrade: bool = True,
-                announce: bool = True) -> int:
-    """Run the gateway until SIGINT/SIGTERM (or a ``shutdown`` request).
+def _drain_on_signals(gateway: AnalysisGateway) -> None:
+    """SIGINT/SIGTERM start a graceful shutdown instead of tracing back."""
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, gateway.request_shutdown)
+        except (NotImplementedError, RuntimeError):
+            # Not the main thread / unsupported platform: the `shutdown`
+            # op (and, on stdio, end of input) still works.
+            pass
+
+
+def run_gateway(gateway: AnalysisGateway, host: str = DEFAULT_HOST,
+                port: int = DEFAULT_PORT) -> int:
+    """Serve ``gateway`` over TCP until SIGINT/SIGTERM or ``shutdown``.
 
     Returns a process exit code: 0 after a graceful drain,
     ``EXIT_UNAVAILABLE`` when the address cannot be bound.
     """
-    import signal
-    import sys
-
     from repro.exitcodes import EXIT_OK, EXIT_UNAVAILABLE
-
-    gateway = AnalysisGateway(store=store, workers=workers,
-                              queue_limit=queue_limit,
-                              hot_cache_size=hot_cache_size,
-                              default_options=default_options,
-                              timeout=timeout, retry=retry, degrade=degrade)
 
     async def main() -> int:
         try:
@@ -641,24 +734,56 @@ def run_gateway(store: Optional[ResultStore] = None,
             print(f"cannot bind gateway to {host}:{port}: {exc}",
                   file=sys.stderr)
             return EXIT_UNAVAILABLE
-        if announce:
-            print(f"gateway listening on {bound_host}:{bound_port} "
-                  f"(workers={workers}, queue-limit={queue_limit}, "
-                  f"hot-cache={hot_cache_size})", flush=True)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, gateway.request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                # Not the main thread / unsupported platform: the
-                # `shutdown` op still works.
-                pass
+        hot_cache = gateway.cache.max_entries if gateway.cache else 0
+        print(f"gateway listening on {bound_host}:{bound_port} "
+              f"(workers={gateway.workers}, "
+              f"queue-limit={gateway.queue_limit}, "
+              f"hot-cache={hot_cache})", flush=True)
+        _drain_on_signals(gateway)
         await gateway.serve_until_shutdown()
-        if announce:
-            print("gateway drained, shutting down", flush=True)
+        print("gateway drained, shutting down", flush=True)
         return EXIT_OK
 
     return asyncio.run(main())
+
+
+def _fd_lines(fd: int) -> Iterator[bytes]:
+    """Lines read from a file descriptor with ``os.read``.
+
+    Unlike ``sys.stdin``, this holds no buffered-reader lock while a read
+    blocks, so interpreter shutdown never waits on (or aborts over) the
+    daemon thread that iterates it.
+    """
+    pending = b""
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            break
+        *lines, pending = (pending + chunk).split(b"\n")
+        yield from lines
+    if pending:
+        yield pending
+
+
+def run_stdio(gateway: AnalysisGateway,
+              lines: Optional[Iterable[Union[bytes, str]]] = None,
+              output: Optional[IO[str]] = None) -> int:
+    """Serve ``gateway`` on stdin/stdout (or ``lines``/``output``).
+
+    Runs until end of input, a ``shutdown`` request, SIGINT/SIGTERM or a
+    reader hang-up; each finishes the request in flight and drains the
+    gateway first.  Returns exit code 0.
+    """
+    if lines is None:
+        lines = _fd_lines(sys.stdin.fileno())
+
+    async def main() -> None:
+        _drain_on_signals(gateway)
+        await gateway.serve_stdio(
+            lines, sys.stdout if output is None else output)
+
+    asyncio.run(main())
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +900,6 @@ class GatewayThread:
 
     def start(self, host: str = DEFAULT_HOST,
               port: int = 0) -> Tuple[str, int]:
-        import threading
-
         self._started = threading.Event()
         failure: List[BaseException] = []
 

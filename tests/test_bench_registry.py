@@ -94,3 +94,43 @@ class TestBenchmarkProgramsAreWellFormed:
                              max_steps=plan.max_steps)
         assert result.terminated
         assert result.cost >= 0
+
+
+class TestPaperBoundsAudit:
+    """A program marked ``source == 'paper'`` is the paper's own text, so
+    the paper's Table 1 bound must hold for it: at the plan's largest
+    state the bound is no lower than the sampled mean cost, within four
+    standard errors.  A program whose sampled cost exceeds its paper bound
+    is a reconstruction and must say so."""
+
+    def test_paper_bound_covers_the_sampled_mean(self):
+        import os
+        import sys
+
+        import numpy as np
+
+        from repro.semantics.sampler import sample_costs
+
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            from paperbound import paper_value
+        finally:
+            sys.path.remove(perfbench)
+        violations = []
+        for benchmark in all_benchmarks():
+            if benchmark.source != "paper":
+                continue
+            plan = benchmark.simulation
+            state = max(plan.states(), key=lambda s: s[plan.swept_variable])
+            costs, unfinished, _, _ = sample_costs(
+                benchmark.build_for_simulation(), state, runs=100, seed=7,
+                max_steps=plan.max_steps, engine="auto")
+            assert unfinished == 0, benchmark.name
+            floor = costs.mean() - 4 * costs.std(ddof=1) / np.sqrt(len(costs))
+            bound = float(paper_value(benchmark, state))
+            if bound < floor:
+                violations.append((benchmark.name, state, bound,
+                                   float(costs.mean())))
+        assert violations == []

@@ -397,29 +397,36 @@ class TestStoreCommand:
 
 
 class TestServeGatewayFlags:
-    def test_gateway_flags_require_async(self):
-        for flags in (["--port", "1"], ["--host", "::1"],
-                      ["--queue-limit", "4"], ["--hot-cache-size", "4"],
-                      ["--timeout", "1"], ["--retry-budget", "2"]):
+    def test_address_flags_require_async(self):
+        for flags in (["--port", "1"], ["--host", "::1"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["serve", *flags])
             assert excinfo.value.code == 2
 
-    def test_async_forwards_gateway_config(self, monkeypatch):
+    @pytest.mark.parametrize("transport", ["stdio", "tcp"])
+    def test_both_transports_get_the_gateway_config(self, monkeypatch,
+                                                    transport):
         captured = {}
 
-        def fake_run_gateway(**kwargs):
-            captured.update(kwargs)
+        def fake_run(service, **kwargs):
+            captured.update(kwargs, service=service)
             return 0
 
         import repro.service.gateway as gateway
 
-        monkeypatch.setattr(gateway, "run_gateway", fake_run_gateway)
-        assert main(["serve", "--async", "--no-cache", "--port", "0",
+        monkeypatch.setattr(gateway, "run_gateway", fake_run)
+        monkeypatch.setattr(gateway, "run_stdio", fake_run)
+        flags = ["--async", "--port", "0"] if transport == "tcp" else []
+        assert main(["serve", *flags, "--no-cache", "--workers", "1",
                      "--queue-limit", "7", "--hot-cache-size", "3",
+                     "--timeout", "5", "--retry-budget", "2",
                      "--degree-limit", "3"]) == 0
-        assert captured["port"] == 0
-        assert captured["queue_limit"] == 7
-        assert captured["hot_cache_size"] == 3
-        assert captured["default_options"] == {"degree_limit": 3}
-        assert captured["store"] is None
+        service = captured.pop("service")
+        assert captured == ({"host": "127.0.0.1", "port": 0}
+                            if transport == "tcp" else {})
+        assert service.queue_limit == 7
+        assert service.cache.max_entries == 3
+        assert service.default_options == {"degree_limit": 3}
+        assert service.store is None
+        assert service._pool.timeout == 5
+        assert service._pool.policy.budget == 2

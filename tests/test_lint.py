@@ -483,14 +483,18 @@ def test_gateway_lint_op(tmp_path):
 
 
 def test_stdio_server_lint_op():
-    from repro.service.server import AnalysisServer
+    import io
+    import json
 
-    server = AnalysisServer()
-    response = server.handle({
-        "op": "lint",
-        "source": "proc main(n) { cost = cost + n; tick(1); }",
-        "options": {"resource_counter": "cost"},
-    })
+    from repro.service.gateway import AnalysisGateway, run_stdio
+
+    stdout = io.StringIO()
+    request = {"op": "lint",
+               "source": "proc main(n) { cost = cost + n; tick(1); }",
+               "options": {"resource_counter": "cost"}}
+    run_stdio(AnalysisGateway(), io.StringIO(json.dumps(request) + "\n"),
+              stdout)
+    response = json.loads(stdout.getvalue())
     assert response["op"] == "lint"
     assert response["severity"] is None
     assert response["diagnostics"] == []

@@ -19,7 +19,7 @@ from repro.service.faults import FaultSpec, unit_fraction
 from repro.service.jobs import SCHEMA_VERSION, AnalysisJob
 from repro.service.retry import RetryPolicy
 from repro.service.scheduler import SchedulerConfig, run_batch, run_jobs
-from repro.service.server import AnalysisServer
+from repro.service.gateway import AnalysisGateway, run_stdio
 from repro.service.store import ResultStore
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -230,44 +230,47 @@ class _HangupStream(io.StringIO):
 
 
 class TestServerHardening:
-    def _serve(self, requests, server=None):
-        server = server or AnalysisServer()
+    """The stdio transport of the gateway (``repro serve``)."""
+
+    def _serve(self, requests, gateway=None):
+        gateway = gateway or AnalysisGateway()
         stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
         stdout = io.StringIO()
-        server.serve(stdin, stdout)
+        assert run_stdio(gateway, stdin, stdout) == 0
         return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
     def test_unexpected_exception_does_not_kill_the_server(self, monkeypatch):
-        server = AnalysisServer()
+        gateway = AnalysisGateway()
 
-        def boom(payload):
+        async def boom(job):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(server, "_handle_analyze", boom)
+        monkeypatch.setattr(gateway, "_resolve", boom)
         responses = self._serve([{"id": 1, "source": RDWALK},
-                                 {"op": "ping"}], server=server)
+                                 {"op": "ping"}], gateway=gateway)
         assert responses[0]["error"] == "RuntimeError: wires crossed"
         assert responses[0]["id"] == 1
         # The loop survived and served the next request.
         assert responses[1] == {"op": "ping", "ok": True}
 
     def test_broken_pipe_shuts_down_cleanly(self):
-        server = AnalysisServer()
+        gateway = AnalysisGateway()
         stdin = io.StringIO('{"op": "ping"}\n{"op": "ping"}\n{"op": "ping"}\n')
         stdout = _HangupStream(limit=1)
-        served = server.serve(stdin, stdout)   # must not raise
-        assert served == 2    # first answered, second hit the dead pipe
+        assert run_stdio(gateway, stdin, stdout) == 0   # must not raise
+        # First answered, second hit the dead pipe, third never served.
+        assert gateway.stats.requests == 2
         assert len(stdout.getvalue().splitlines()) == 1
 
     def test_health_op(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        server = AnalysisServer(store=store, workers=3)
+        gateway = AnalysisGateway(store=store, workers=3)
         responses = self._serve([{"source": RDWALK},
-                                 {"op": "health", "id": 9}], server=server)
+                                 {"op": "health", "id": 9}], gateway=gateway)
         health = responses[1]
         assert health["ok"] is True and health["id"] == 9
         assert health["pool"]["workers"] == 3
-        assert health["store"]["records"] == 1
+        assert health["gateway"]["analyses"] == 1
         assert health["store"]["quarantine_records"] == 0
         assert health["engine"]["engine_id"]
         assert health["faults"] is None
@@ -275,16 +278,17 @@ class TestServerHardening:
 
     def test_health_reports_active_faults_and_quarantine(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        server = AnalysisServer(store=store)
-        self._serve([{"source": RDWALK}], server=server)
+        self._serve([{"source": RDWALK}], AnalysisGateway(store=store))
         job = AnalysisJob.create("request-0", RDWALK)
         with open(store._path(job.job_hash), "w", encoding="utf-8") as handle:
             handle.write("{ bit rot")
         faults.configure([FaultSpec("store-write-fail", probability=0.5)],
                          seed=3)
+        # A fresh gateway: its hot tier is empty, so the read hits the disk.
         responses = self._serve([{"source": RDWALK},
                                  {"op": "stats"},
-                                 {"op": "health"}], server=server)
+                                 {"op": "health"}],
+                                AnalysisGateway(store=store))
         stats, health = responses[1], responses[2]
         assert stats["store"]["quarantined"] == 1
         assert stats["store"]["quarantine_records"] == 1

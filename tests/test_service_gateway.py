@@ -364,7 +364,7 @@ class TestGracefulShutdown:
         blocker.listen(1)
         try:
             port = blocker.getsockname()[1]
-            code = run_gateway(workers=0, port=port, announce=False)
+            code = run_gateway(AnalysisGateway(), port=port)
             assert code == EXIT_UNAVAILABLE
         finally:
             blocker.close()
