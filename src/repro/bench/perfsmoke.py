@@ -201,6 +201,10 @@ def run_suite(group: str = "linear",
             "solve_seconds": round(stats.solve_seconds_total(), 4) if stats else None,
             "lp_variables": result.lp_variables,
             "lp_constraints": result.lp_constraints,
+            "certificate_multipliers": sum(
+                len(evidence.combination)
+                for evidence in result.certificate.weakenings)
+            if result.certificate else None,
             "lp_solves": stats.cold_solves if stats else None,
             "skipped_solves": stats.skipped_solves if stats else None,
             "fm_queries": delta["queries"],
@@ -789,12 +793,15 @@ GATED_TIMES = (("wall_seconds", "wall"), ("prepare_seconds", "prepare"),
 
 #: Per-program counts :func:`find_regressions` gates: the entailment queries
 #: an analysis issues, its LP columns (a lost rewrite reduction shows here
-#: before it shows in seconds) and its LP solves (an extra objective stage
-#: or a broken already-optimal skip).  A count does not jitter, so it needs
-#: no floor.
+#: before it shows in seconds), its LP solves (an extra objective stage or
+#: a broken already-optimal skip) and its certificate's multipliers (a
+#: reduction that lands on a denser optimal vertex stores, and every cache
+#: hit reads, a larger record).  A count does not jitter, so it needs no
+#: floor.
 GATED_COUNTS = (("fm_queries", "entailment queries"),
                 ("lp_variables", "LP columns"),
-                ("lp_solves", "LP solves"))
+                ("lp_solves", "LP solves"),
+                ("certificate_multipliers", "certificate multipliers"))
 
 
 def find_regressions(report: Dict[str, object], baseline: Dict[str, object],

@@ -12,7 +12,12 @@ Generators implemented here (``c`` denotes a rational constant, ``A``/``B``
 interval atoms, ``M`` a base monomial, and ``Gamma`` the logical context):
 
 1. ``M`` itself -- every base function is non-negative, so potential may
-   always be *discarded*.
+   always be *discarded*.  At degree 2 a discard that is a sum of kept
+   rewrites is left out: ``A = (A - c) + c * 1`` when the extraction
+   ``A - c`` (generator 2) is generated, since the weakening always holds
+   the unit ``1 >= 0``, and ``A * X = (A - c) * X + c * X`` when that
+   extraction is lifted by ``X`` (generator 4) and ``X >= 0`` is generated
+   or itself left out so.
 2. ``A - c`` whenever ``Gamma |= D_A >= c`` with ``c > 0`` -- extracts
    constant potential from an interval known to be large.
 3. ``A - B - c`` whenever ``Gamma |= D_A - D_B >= c`` and (for ``c > 0``)
@@ -22,11 +27,17 @@ interval atoms, ``M`` a base monomial, and ``Gamma`` the logical context):
    differ by a constant and need no query, and one query per ordered pair
    of linear parts that share a variable serves all their atom pairs
    (see :func:`_build_atom_rewrites`).
-4. Products ``F * M`` of a degree-1 rewrite function with a base monomial --
+4. Products ``F * X`` of a degree-1 rewrite function with an atom --
    non-negative because both factors are, covering the polynomial cases
-   (e.g. ``|[0,n]|^2`` telescoping).  A product that is the sum of other
-   products in the list (a telescoping pair across intermediate offsets)
-   is left out: it adds a column but no solution.
+   (e.g. ``|[0,n]|^2`` telescoping).  The lift of a pair
+   ``(A_i - A_j - c_ij) * X`` is left out when the lifts of two kept pairs
+   ``A_i - A_k - c_ik`` and ``A_k - A_j - c_kj`` with
+   ``c_ik + c_kj == c_ij`` add up to it (see :func:`_redundant_pairs`).
+
+A rewrite left out at degree 2 is a non-negative combination of kept ones,
+so it adds a column to the LP but no solution: the weakening constrains
+the LP only through the cone its rewrites span.  Degree 1 keeps every
+rewrite.
 
 This matches the heuristic described in Sec. 7.1 ("for the base function
 max(0, n-x) we add the rewrite function max(0,n-x) - max(0,n-x-1) - 1 ...")
@@ -89,9 +100,10 @@ def _atoms_of(monomials: Iterable[Monomial]) -> List[IntervalAtom]:
 
 
 #: A degree-1 rewrite as :func:`_atom_rewrites` records it for lifting:
-#: ``(polynomial, reason, primary atom, chain)``.
-DegreeOne = Tuple[Polynomial, object, IntervalAtom,
-                  Optional[Tuple[IntervalAtom, ...]]]
+#: ``(polynomial, reason, primary atom, partner)``, where ``partner`` is
+#: the atom a pair ``A - B - c`` transfers to (``B``) and None for a
+#: constant extraction ``A - c``.
+DegreeOne = Tuple[Polynomial, object, IntervalAtom, Optional[IntervalAtom]]
 
 #: Memo for :func:`generate_rewrites`; repeated weakenings at the same
 #: program point (loop entry/exit, degree retries) ask for identical sets.
@@ -159,9 +171,8 @@ def _atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     """Constant-extraction and pair-transfer rewrites over an atom pool.
 
     Returns ``(rewrites, degree_one)`` where ``degree_one`` additionally
-    records ``(polynomial, reason, primary atom, chain)`` for the
-    degree-lifting products of :func:`_generate_rewrites` (``chain``: see
-    :func:`_build_atom_rewrites`).  The returned lists are shared
+    records each rewrite's :data:`DegreeOne` entry for the degree-lifting
+    products of :func:`_generate_rewrites`.  The returned lists are shared
     memo entries: callers must not mutate them.
     """
     cache_key = (context, atoms, max_pair_rewrites)
@@ -194,11 +205,6 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
     Pairs are emitted as the pairwise enumeration ordered them: constant
     pairs by increasing shift (ties in pool order), then shared-variable
     pairs in pool order, until ``max_pair_rewrites`` have been emitted.
-
-    A constant pair ``A_i - A_k - c`` whose group has atoms strictly
-    between the two offsets is *composite* when it equals the sum of the
-    pairs between neighbouring offsets along the way (the chain); its
-    ``degree_one`` entry then names the chain's base atoms, else None.
     """
     unit = Monomial.one()
     monomials = [Monomial.of_atom(atom) for atom in atoms]
@@ -240,7 +246,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
             gap = 0 if lower is None or lower <= 0 else min(gap, lower)
         return exact(gap)
 
-    def emit(i: int, j: int, constant: Coeff, chain=None) -> None:
+    def emit(i: int, j: int, constant: Coeff) -> None:
         """Append ``A_i - A_j - constant``."""
         terms = {monomials[i]: 1, monomials[j]: -1}
         if constant:
@@ -249,7 +255,7 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
         reason = (lambda x=atoms[i], y=atoms[j], c=constant:
                   f"{x} - {y} >= {c} under context")
         rewrites.append(RewriteFunction(poly, reason))
-        degree_one.append((poly, reason, atoms[i], chain))
+        degree_one.append((poly, reason, atoms[i], atoms[j]))
 
     # Constant pairs (the telescoping rewrites of Sec. 7.1) come first and
     # smaller shifts before larger ones: the rewrites between neighbouring
@@ -263,38 +269,11 @@ def _build_atom_rewrites(context: Context, atoms: Tuple[IntervalAtom, ...],
                 gap = offset - offsets[j]
                 telescoping.append((abs(gap), i, j, gap))
     telescoping.sort()
-    # A pair across intermediate offsets is composite when it equals the
-    # sum of the pairs between neighbouring offsets from A_i to A_j (its
-    # chain), which have smaller shifts and so are emitted before it.  The
-    # chain's polynomials telescope to A_i - A_j - (sum of their
-    # constants), so that holds exactly when the constants add up.  Per
-    # group, in offset order: the atoms, and the running sums of those
-    # constants upwards and downwards.
-    ladders = []
-    rung = [0] * len(atoms)
-    for group in members:
-        ladder = sorted(group, key=offsets.__getitem__)
-        up, down = [0], [0]
-        for place, (low, high) in enumerate(zip(ladder, ladder[1:])):
-            rung[high] = place + 1
-            up.append(up[-1] + constant_of(low, offsets[low] - offsets[high]))
-            down.append(down[-1]
-                        + constant_of(high, offsets[high] - offsets[low]))
-        ladders.append(([atoms[index] for index in ladder], up, down))
     remaining = max_pair_rewrites
     for _shift, i, j, gap in telescoping:
         if remaining <= 0:
             break
-        constant = constant_of(i, gap)
-        chain = None
-        start, end = rung[i], rung[j]
-        if abs(start - end) >= 2:
-            ladder, up, down = ladders[group_of[i]]
-            if end > start and up[end] - up[start] == constant:
-                chain = tuple(ladder[start:end])
-            elif end < start and down[start] - down[end] == constant:
-                chain = tuple(ladder[end + 1:start + 1])
-        emit(i, j, constant, chain)
+        emit(i, j, constant_of(i, gap))
         remaining -= 1
 
     # General pairs of atoms that share a variable, up to the budget.
@@ -338,57 +317,125 @@ def _discard_rewrite(monomial: Monomial) -> RewriteFunction:
     return rewrite
 
 
+#: Lifted rewrites per weakening.  A lift left out as a sum of kept ones
+#: still counts, so the cap cuts where it would with the lift in.
+_LIFT_CAP = 2000
+
+
 def _generate_rewrites(context: Context,
                        monomials: Iterable[Monomial],
                        max_degree: int,
                        max_pair_rewrites: int) -> List[RewriteFunction]:
     pool = sorted(set(monomials), key=lambda m: m.sort_key())
     atoms = _atoms_of(pool)
-    rewrites: List[RewriteFunction] = []
-
-    # 1. every base function may be discarded.
-    rewrites.extend(_discard_rewrite(monomial) for monomial in pool)
-
     # 2.+3. the atom-level rewrites (memoised across degrees/weakenings).
     shared, degree_one = _atom_rewrites(context, tuple(atoms),
                                         max_pair_rewrites)
+    if max_degree < 2:
+        # 1. every base function may be discarded.
+        rewrites = [_discard_rewrite(monomial) for monomial in pool]
+        rewrites.extend(shared)
+        return rewrites
+
+    # 4. lift degree-1 rewrites to degree 2 by multiplying with atoms (both
+    #    factors are non-negative).  Only atoms that actually occur inside
+    #    higher-degree monomials of the pool are useful factors, and only
+    #    their own rewrites are lifted, which keeps the lifted columns few.
+    higher_atoms: Set[IntervalAtom] = set()
+    for monomial in pool:
+        if monomial.degree() >= 2:
+            higher_atoms.update(monomial.atoms())
+    factors = [Monomial.of_atom(atom)
+               for atom in sorted(higher_atoms, key=lambda a: a.sort_key())]
+    lifted = [entry for entry in degree_one if entry[2] in higher_atoms]
+    # The cap lifts the first entries with every factor and the next one
+    # with the factors left.
+    whole = _LIFT_CAP // len(factors) if factors else 0
+    full, cut = lifted[:whole], lifted[whole:whole + 1]
+    redundant = _redundant_pairs(full)
+
+    # 1. every base function may be discarded, unless the discard is a
+    #    sum of kept rewrites.
+    extracted = {atom for _p, _r, atom, partner in degree_one
+                 if partner is None}
+    lifted_extractions = {atom for _p, _r, atom, partner in full
+                          if partner is None}
+    singles = {monomial.atoms()[0] for monomial in pool
+               if monomial.degree() == 1}
+    has_unit = Monomial.one() in pool
+    rewrites = [_discard_rewrite(monomial) for monomial in pool
+                if not _discard_is_sum(monomial, has_unit, singles,
+                                       extracted, lifted_extractions)]
     rewrites.extend(shared)
-
-    # 4. lift degree-1 rewrites to higher degrees by multiplying with base
-    #    monomials (both factors are non-negative).  Only atoms that actually
-    #    occur inside higher-degree monomials of the pool are useful factors,
-    #    which keeps the number of lifted columns small.
-    if max_degree >= 2:
-        higher_atoms: Set[IntervalAtom] = set()
-        for monomial in pool:
-            if monomial.degree() >= 2:
-                higher_atoms.update(monomial.atoms())
-        factors = [Monomial.of_atom(atom)
-                   for atom in sorted(higher_atoms, key=lambda a: a.sort_key())]
-        #    A composite telescoping pair whose chain atoms are all lifted
-        #    is, times each factor, the sum of its chain's lifts, which come
-        #    earlier: its column adds nothing to the LP and is left out.  It
-        #    still counts toward the cap of 2000 lifts, so the cap cuts
-        #    where it would with the column in.
-        budget = 2000
-        for poly, reason, base_atom, chain in degree_one:
-            if higher_atoms and base_atom not in higher_atoms:
-                continue
-            if poly.degree() + 1 > max_degree:
-                continue  # every factor is a single atom
-            kept = factors
-            if chain is not None and higher_atoms.issuperset(chain):
-                kept = ()
-            rewrites.extend(RewriteFunction(
-                poly.times_monomial(factor),
-                reason=lambda r=reason, f=factor:
-                    f"({r() if callable(r) else r}) * {f}")
-                for factor in kept[:budget])
-            budget -= len(factors)
-            if budget <= 0:
-                break
-
+    for position, (poly, reason, _atom, _partner) in enumerate(full + cut):
+        if position in redundant:
+            continue
+        rewrites.extend(RewriteFunction(
+            poly.times_monomial(factor),
+            reason=lambda r=reason, f=factor:
+                f"({r() if callable(r) else r}) * {f}")
+            for factor in (factors if position < whole
+                           else factors[:_LIFT_CAP - whole * len(factors)]))
     return rewrites
+
+
+def _redundant_pairs(full: Sequence[DegreeOne]) -> Set[int]:
+    """Positions of the pairs in ``full`` whose lifts are sums of kept lifts.
+
+    ``full`` are the degree-1 rewrites lifted by every factor.  The lift
+    ``(A_i - A_j - c_ij) * X`` is the sum of ``(A_i - A_k - c_ik) * X``
+    and ``(A_k - A_j - c_kj) * X`` when ``c_ik + c_kj == c_ij``: the
+    polynomials telescope.  Pairs are visited last emitted first, so wide
+    telescoping shifts go before the narrow ones they split into, and a
+    left-out pair stops being a witness.  Each left-out pair is thus a sum
+    of pairs kept at that moment, and by induction of finally kept ones,
+    even around zero-sum cycles such as neighbouring offsets both ways.
+    """
+    # -c of every pair A_i - A_j - c still kept, and each A_i's partners.
+    shifts: Dict[Tuple[IntervalAtom, IntervalAtom], Coeff] = {}
+    partners: Dict[IntervalAtom, List[IntervalAtom]] = {}
+    for poly, _reason, atom, partner in full:
+        if partner is not None:
+            shifts[atom, partner] = poly.constant_value()
+            partners.setdefault(atom, []).append(partner)
+    redundant: Set[int] = set()
+    for position in range(len(full) - 1, -1, -1):
+        _poly, _reason, i, j = full[position]
+        if j is None:
+            continue
+        shift = shifts[i, j]
+        for k in partners[i]:
+            first = shifts.get((i, k))
+            if first is None:
+                continue
+            second = shifts.get((k, j))
+            if second is not None and first + second == shift:
+                del shifts[i, j]
+                redundant.add(position)
+                break
+    return redundant
+
+
+def _discard_is_sum(monomial: Monomial, has_unit: bool,
+                    singles: Set[IntervalAtom],
+                    extracted: Set[IntervalAtom],
+                    lifted_extractions: Set[IntervalAtom]) -> bool:
+    """Whether ``monomial >= 0`` is a sum of kept degree-2 rewrites.
+
+    ``A = (A - c) + c * 1`` when the extraction ``A - c`` is generated and
+    the pool holds the unit (a weakening's always does), and
+    ``A * X = (A - c) * X + c * X`` when that extraction is lifted by ``X``
+    and ``X >= 0`` is generated (``X`` is in ``singles``) or itself such a
+    sum.
+    """
+    atoms = [atom for atom, power in monomial.factors for _ in range(power)]
+    if len(atoms) == 1:
+        return has_unit and atoms[0] in extracted
+    if len(atoms) != 2:
+        return False
+    first, second = atoms
+    return ((first in lifted_extractions and second in singles)
+            or (second in lifted_extractions and first in singles))
 
 
 def applicable_monomials(rewrites: Sequence[RewriteFunction]) -> Set[Monomial]:

@@ -238,6 +238,9 @@ class TestPerfSmoke:
         result = analyze_program(bench.build(), **bench.analyzer_options)
         assert (row["lp_variables"], row["lp_constraints"]) \
             == (result.lp_variables, result.lp_constraints) != (0, 0)
+        assert row["certificate_multipliers"] == sum(
+            len(evidence.combination)
+            for evidence in result.certificate.weakenings) > 0
 
     def test_programs_filter_unknown_selector(self, tmp_path, capsys):
         from repro.bench.perfsmoke import main
@@ -434,6 +437,21 @@ class TestPerfCheck:
             == ["a: LP columns 13000 vs baseline 10000 (+30%)"]
         assert find_regressions(report(10000), report(10000)) == []
         assert find_regressions(report(8000), report(10000)) == []
+
+    def test_flags_denser_certificates(self):
+        from repro.bench.perfsmoke import find_regressions, run_suite
+
+        # A reduction that lands on denser vertices stores more
+        # multipliers while the columns and seconds hold: a baseline
+        # doctored to half of them flags the report.
+        report = run_suite(programs=["ber"])
+        row, = report["programs"]
+        baseline = {"programs": [{**row, "certificate_multipliers":
+                                  row["certificate_multipliers"] // 2}]}
+        problems = find_regressions(report, baseline)
+        assert len(problems) == 1
+        assert problems[0].startswith("ber: certificate multipliers ")
+        assert find_regressions(report, report) == []
 
     def test_flags_escalated_wall_regression(self):
         from repro.bench.perfsmoke import find_regressions

@@ -9,11 +9,17 @@
   ``lp_tolerance`` (1e-7) more, and without the column bounds a later
   stage can spend that slack to go up to about 1.2e-7 lower, which the
   column bounds, by design, no longer allow.
-* **Composite telescoping lifts.**  ``generate_rewrites`` leaves out the
-  lift of a same-group pair that is the sum of its chain's pairs.  Its
-  kept lifts must be the full lift list (rebuilt here as it was before the
-  reduction, the cap of 2000 lifts included) minus some lifts, each of
-  which equals, exactly, a sum of kept lifts.
+* **Cone generators at degree 2.**  ``generate_rewrites`` leaves out the
+  lifted pairs and the discards that are sums of kept rewrites.  Its kept
+  list must be the full list (rebuilt here as it was before the
+  reductions: every discard, the atom-level rewrites and every lift up to
+  the cap of 2000 lifts) minus some lifts and discards, each of which
+  equals, exactly, a non-negative combination of kept rewrites: a walk of
+  kept lifted pairs whose constants add up, or ``A * R = (A - c) * R +
+  c * R`` over a kept extraction.  Degree 1 leaves nothing out.  A second
+  check needs no witness: on the smallest degree-2 weakening of each
+  degree-2 program, a HiGHS feasibility LP per left-out rewrite puts it
+  in the cone of the kept ones.
 
 Both run over every LP solve and rewrite generation of the registry
 programs (cold at their registry degree, and the degree-2 ones escalating
@@ -27,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csc_array
 
 from repro.bench.registry import all_benchmarks, polynomial_benchmarks
@@ -84,30 +91,38 @@ def assert_fixing_is_exact(calls: List[tuple]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Composite telescoping lifts
+# Cone generators at degree 2
 # ---------------------------------------------------------------------------
 
-def unreduced_lifts(context, monomials, max_degree: int,
-                    max_pair_rewrites: int = 3000) -> List[Polynomial]:
-    """The lifted rewrites of ``generate_rewrites`` without the reduction:
-    every degree-1 rewrite of a lifted atom times every factor, cut at the
-    cap of 2000."""
+#: A combination: ``(coefficient, polynomial)`` terms.
+Combination = List[Tuple[object, Polynomial]]
+
+
+def unreduced_rewrites(context, monomials, max_degree: int,
+                       max_pair_rewrites: int = 3000) -> List[Polynomial]:
+    """The rewrites of ``generate_rewrites`` without any left out: every
+    discard, the atom-level rewrites, then every degree-1 rewrite of a
+    lifted atom times every factor, cut at the cap of 2000 lifts."""
     pool = sorted(set(monomials), key=lambda m: m.sort_key())
-    _, degree_one = rewrite._atom_rewrites(
+    shared, degree_one = rewrite._atom_rewrites(
         context, tuple(rewrite._atoms_of(pool)), max_pair_rewrites)
+    rewrites = [Polynomial.of_monomial(monomial) for monomial in pool]
+    rewrites.extend(r.polynomial for r in shared)
+    if max_degree < 2:
+        return rewrites
     higher = {atom for monomial in pool if monomial.degree() >= 2
               for atom in monomial.atoms()}
     factors = [Monomial.of_atom(atom)
                for atom in sorted(higher, key=lambda a: a.sort_key())]
     lifts: List[Polynomial] = []
-    for poly, _reason, base_atom, _chain in degree_one:
-        if base_atom not in higher or poly.degree() + 1 > max_degree:
+    for poly, _reason, base_atom, _partner in degree_one:
+        if base_atom not in higher:
             continue
         for factor in factors:
+            if len(lifts) == 2000:
+                return rewrites + lifts
             lifts.append(poly.times_monomial(factor))
-            if len(lifts) >= 2000:
-                return lifts
-    return lifts
+    return rewrites + lifts
 
 
 Edge = Tuple[object, object, object]
@@ -133,74 +148,184 @@ def _as_transfer(poly: Polynomial) -> Optional[Tuple[frozenset, Edge]]:
             (next(iter(x)), next(iter(y)), -rest.get(factor_monomial, 0)))
 
 
-def _sum_witness(poly: Polynomial, kept_edges) -> Optional[List[Polynomial]]:
-    """Kept lifts summing to ``poly``: a walk from X to Y over kept
-    transfers with the same factor whose constants add up to ``c``."""
-    parsed = _as_transfer(poly)
-    if parsed is None:
+class KeptCone:
+    """Witness search over one generation's kept rewrites."""
+
+    def __init__(self, kept: List[Polynomial]) -> None:
+        self.kept = set(kept)
+        #: factor -> X -> [(Y, c, lift)] over the kept lifted pairs.
+        self.edges: Dict[frozenset, Dict[object, list]] = defaultdict(
+            lambda: defaultdict(list))
+        for poly in kept:
+            parsed = _as_transfer(poly)
+            if parsed is not None:
+                factor, (x, y, constant) = parsed
+                self.edges[factor][x].append((y, constant, poly))
+
+    def combination(self, poly: Polynomial) -> Optional[Combination]:
+        """Kept rewrites with non-negative coefficients summing to
+        ``poly``, or None when no witness of a known family is found."""
+        if poly in self.kept:
+            return [(1, poly)]
+        terms = list(poly.term_items())
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self._discard(terms[0][0])
+        return self._path(poly)
+
+    def _discard(self, monomial: Monomial) -> Optional[Combination]:
+        """``A * R = (A - c) * R + c * R``: a kept extraction of an atom
+        ``A`` of the monomial, times the rest ``R``, and ``R >= 0``."""
+        for atom in monomial.atoms():
+            rest = Monomial(dict(Counter(dict(monomial.factors))
+                                 - Counter({atom: 1})))
+            for poly in self.kept:
+                if poly.coefficient(monomial) != 1 or len(poly.terms) != 2:
+                    continue
+                constant = -poly.coefficient(rest)
+                if constant <= 0:
+                    continue
+                below = self.combination(Polynomial.of_monomial(rest))
+                if below is not None:
+                    return [(1, poly)] + [(constant * coeff, part)
+                                          for coeff, part in below]
         return None
-    factor, (start, goal, target) = parsed
-    edges = kept_edges.get(factor, {})
-    frontier = [(start, 0, [])]
-    seen = {(start, 0)}
-    for _ in range(len(edges) + 1):
-        following = []
-        for node, total, path in frontier:
-            for nxt, constant, lift in edges.get(node, ()):
-                reached = total + constant
-                if nxt == goal and reached == target:
-                    return path + [lift]
-                if (nxt, reached) not in seen:
-                    seen.add((nxt, reached))
-                    following.append((nxt, reached, path + [lift]))
-        frontier = following
-    return None
+
+    def _path(self, poly: Polynomial) -> Optional[Combination]:
+        """A walk from X to Y over kept transfers with the same factor
+        whose constants add up to ``c``."""
+        parsed = _as_transfer(poly)
+        if parsed is None:
+            return None
+        factor, (start, goal, target) = parsed
+        edges = self.edges.get(factor, {})
+        frontier = [(start, 0, [])]
+        seen = {(start, 0)}
+        for _ in range(len(edges) + 1):
+            following = []
+            for node, total, path in frontier:
+                for nxt, constant, lift in edges.get(node, ()):
+                    reached = total + constant
+                    if nxt == goal and reached == target:
+                        return [(1, part) for part in path + [lift]]
+                    if (nxt, reached) not in seen:
+                        seen.add((nxt, reached))
+                        following.append((nxt, reached, path + [lift]))
+            frontier = following
+        return None
 
 
-def assert_skipped_lifts_are_sums(calls: List[tuple]) -> int:
+def split_generation(args, result) -> Tuple[List[Polynomial],
+                                            List[Polynomial]]:
+    """``(kept, left out)`` of one captured generation: the kept list must
+    be the unreduced list with some rewrites left out, in order."""
+    context, monomials, max_degree = args[:3]
+    max_pairs = args[3] if len(args) > 3 else 3000  # the default
+    full = unreduced_rewrites(context, monomials, max_degree, max_pairs)
+    kept = [r.polynomial for r in result]
+    position, skipped = 0, []
+    for poly in full:
+        if position < len(kept) and kept[position] == poly:
+            position += 1
+        else:
+            skipped.append(poly)
+    assert position == len(kept), "a kept rewrite is not an unreduced one"
+    return kept, skipped
+
+
+def assert_skipped_rewrites_are_sums(calls: List[tuple]) -> Counter:
     """Check every distinct captured rewrite generation; returns how many
-    lifts were left out in total."""
-    skipped_total = 0
+    lifts and discards were left out in total."""
+    skipped_total: Counter = Counter()
     seen = set()
     for args, result in calls:
         if id(result) in seen:
             continue
         seen.add(id(result))
-        context, monomials, max_degree = args[:3]
-        max_pairs = args[3] if len(args) > 3 else 3000  # the default
-        if max_degree < 2:
+        kept, skipped = split_generation(args, result)
+        if args[2] < 2:
+            assert not skipped, "degree 1 leaves a rewrite out"
             continue
-        full = unreduced_lifts(context, monomials, max_degree, max_pairs)
-        # The list is the discards (one per monomial), the atom-level
-        # rewrites, then the kept lifts.
-        pool = sorted(set(monomials), key=lambda m: m.sort_key())
-        shared, _ = rewrite._atom_rewrites(
-            context, tuple(rewrite._atoms_of(pool)), max_pairs)
-        kept = [r.polynomial for r in result[len(pool) + len(shared):]]
-        # Kept is the unreduced list with some lifts left out, in order.
-        position, skipped = 0, []
-        for lift in full:
-            if position < len(kept) and kept[position] == lift:
-                position += 1
-            else:
-                skipped.append(lift)
-        assert position == len(kept), "a kept lift is not an unreduced one"
-        edges: Dict[frozenset, Dict[object, list]] = defaultdict(
-            lambda: defaultdict(list))
-        for lift in kept:
-            parsed = _as_transfer(lift)
-            if parsed is not None:
-                factor, (x, y, constant) = parsed
-                edges[factor][x].append((y, constant, lift))
-        for lift in skipped:
-            witness = _sum_witness(lift, edges)
-            assert witness is not None, f"{lift} is no sum of kept lifts"
+        cone = KeptCone(kept)
+        for poly in skipped:
+            witness = cone.combination(poly)
+            assert witness is not None, f"{poly} is no sum of kept rewrites"
             total = Polynomial.zero()
-            for part in witness:
-                total = total + part
-            assert total == lift
-        skipped_total += len(skipped)
+            for coeff, part in witness:
+                assert coeff >= 0 and part in cone.kept
+                total = total + part * coeff
+            assert total == poly
+            skipped_total["discard" if len(poly.terms) == 1
+                          else "lift"] += 1
     return skipped_total
+
+
+class ConeLP:
+    """Cone membership over ``kept`` by a HiGHS feasibility LP: is there a
+    ``u >= 0`` with ``sum_k u_k kept_k == target``?  One model per kept
+    set, one equality row per monomial; each target only moves the rows'
+    bounds, so HiGHS starts from the previous basis."""
+
+    def __init__(self, kept: List[Polynomial],
+                 targets: List[Polynomial]) -> None:
+        self.rows = {monomial: row for row, monomial in enumerate(sorted(
+            {m for poly in kept + targets for m in poly.terms},
+            key=Monomial.sort_key))}
+        entries = [(self.rows[monomial], column, float(coeff))
+                   for column, poly in enumerate(kept)
+                   for monomial, coeff in poly.term_items()]
+        rows, columns, values = zip(*entries)
+        self.matrix = csc_array((values, (rows, columns)),
+                                shape=(len(self.rows), len(kept)))
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(kept)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(self.rows)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = self.matrix.indptr
+        lp.a_matrix_.index_ = self.matrix.indices
+        lp.a_matrix_.value_ = self.matrix.data
+        lp.col_cost_ = np.zeros(len(kept))
+        lp.col_lower_ = np.zeros(len(kept))
+        lp.col_upper_ = np.full(len(kept), np.inf)
+        lp.row_lower_ = lp.row_upper_ = np.zeros(len(self.rows))
+        self.solver = highs._Highs()
+        self.solver.setOptionValue("output_flag", False)
+        assert self.solver.passModel(lp) != highs.HighsStatus.kError
+        self.target = np.zeros(len(self.rows))
+
+    def contains(self, target: Polynomial) -> bool:
+        for row in np.flatnonzero(self.target):
+            self.solver.changeRowBounds(int(row), 0.0, 0.0)
+        self.target[:] = 0.0
+        for monomial, coeff in target.term_items():
+            row = self.rows[monomial]
+            self.target[row] = float(coeff)
+            self.solver.changeRowBounds(row, float(coeff), float(coeff))
+        self.solver.run()
+        if self.solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+            return False
+        # Trust the point, not the status.
+        point = np.array(self.solver.getSolution().col_value)
+        assert np.all(point >= -FEASIBILITY_TOLERANCE)
+        assert np.max(np.abs(self.matrix @ point - self.target)) \
+            <= FEASIBILITY_TOLERANCE
+        return True
+
+
+def assert_smallest_skips_in_cone(calls: List[tuple]) -> int:
+    """On the smallest degree-2 generation that leaves rewrites out, put
+    each left-out one in the cone of the kept ones by LP, with no witness;
+    returns how many were checked."""
+    generations = [split_generation(args, result)
+                   for args, result in calls if args[2] >= 2]
+    kept, skipped = min((pair for pair in generations if pair[1]),
+                        key=lambda pair: len(pair[0]) + len(pair[1]))
+    negative_unit = Polynomial.constant(-1)
+    cone = ConeLP(kept, skipped + [negative_unit])
+    # The LP can say no: -1 is in no cone of non-negative functions.
+    assert not cone.contains(negative_unit)
+    for poly in skipped:
+        assert cone.contains(poly), f"{poly} is outside the kept cone"
+    return len(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +349,9 @@ def test_registry_cold(bench, monkeypatch):
     result, solves, rewrites = _analyze_captured(
         monkeypatch, bench.build(), bench.analyzer_options)
     assert_fixing_is_exact(solves)
-    skipped = assert_skipped_lifts_are_sums(rewrites)
+    skipped = assert_skipped_rewrites_are_sums(rewrites)
     if result.degree == 2:
-        assert skipped > 0
+        assert skipped["lift"] > 0 and skipped["discard"] > 0
 
 
 @pytest.mark.parametrize("bench", polynomial_benchmarks(),
@@ -236,7 +361,9 @@ def test_registry_escalating(bench, monkeypatch):
         monkeypatch, bench.build(), {**bench.analyzer_options, **ESCALATING})
     assert result.degree == 2
     assert assert_fixing_is_exact(solves) > 0
-    assert assert_skipped_lifts_are_sums(rewrites) > 0
+    skipped = assert_skipped_rewrites_are_sums(rewrites)
+    assert skipped["lift"] > 0 and skipped["discard"] > 0
+    assert assert_smallest_skips_in_cone(rewrites) > 0
     # The stage record counts every fixed column, those of the last
     # solve's bounds included.
     *_, upper, _point = solves[-1]
@@ -246,4 +373,5 @@ def test_registry_escalating(bench, monkeypatch):
 
 def test_fuzz_corpus(fuzz_corpus):
     assert assert_fixing_is_exact(fuzz_corpus.solves) > 0
-    assert assert_skipped_lifts_are_sums(fuzz_corpus.rewrites) > 0
+    skipped = assert_skipped_rewrites_are_sums(fuzz_corpus.rewrites)
+    assert skipped["lift"] > 0 and skipped["discard"] > 0

@@ -1,10 +1,11 @@
 """Oracle for the grouped pair-rewrite generator of :mod:`repro.core.rewrite`.
 
 ``reference_atom_rewrites`` below is the pairwise enumeration the grouped
-generator replaced, kept verbatim: it forms every difference ``D_A - D_B``
-and asks the entailment engine once per shared-variable pair.  The grouped
-generator must return the same rewrites -- the same polynomials with the
-same term order, the same reasons, the same primary atoms, the same
+generator replaced, kept verbatim but for the partner atom its degree-1
+entries now name: it forms every difference ``D_A - D_B`` and asks the
+entailment engine once per shared-variable pair.  The grouped generator
+must return the same rewrites -- the same polynomials with the same term
+order, the same reasons, the same primary and partner atoms, the same
 budget cut -- so the LP it feeds is identical column for column.  It must
 also issue at most one query per atom plus one per distinct ordered pair
 of linear parts.
@@ -76,8 +77,7 @@ def reference_atom_rewrites(context: Context,
                             atoms: Tuple[IntervalAtom, ...],
                             max_pair_rewrites: int
                             ) -> Tuple[List[RewriteFunction],
-                                       List[Tuple[Polynomial, object,
-                                                  IntervalAtom]]]:
+                                       List[rewrite.DegreeOne]]:
     unit = Monomial.one()
     atom_monomials: Dict[IntervalAtom, Monomial] = {
         atom: Monomial.of_atom(atom) for atom in atoms}
@@ -85,7 +85,7 @@ def reference_atom_rewrites(context: Context,
 
     # 2. constant extraction from single atoms (cache the lower bounds; they
     #    are reused by the pair rewrites below).
-    degree_one: List[Tuple[Polynomial, object, IntervalAtom]] = []
+    degree_one: List[rewrite.DegreeOne] = []
     lower_bounds: Dict[IntervalAtom, Optional[Fraction]] = {}
     for atom in atoms:
         lower = context.greatest_lower_bound(atom.diff)
@@ -94,7 +94,7 @@ def reference_atom_rewrites(context: Context,
             poly = Polynomial({atom_monomials[atom]: 1, unit: -lower})
             reason = (lambda a=atom, c=lower: f"{a} >= {c} under context")
             rewrites.append(RewriteFunction(poly, reason))
-            degree_one.append((poly, reason, atom))
+            degree_one.append((poly, reason, atom, None))
 
     # 3. transfers between pairs of atoms.  Pairs differing only by a constant
     #    (the telescoping rewrites of Sec. 7.1) are generated first -- they
@@ -126,7 +126,7 @@ def reference_atom_rewrites(context: Context,
                            unit: -constant})
         reason = (lambda x=a, y=b, c=constant: f"{x} - {y} >= {c} under context")
         rewrites.append(RewriteFunction(poly, reason))
-        degree_one.append((poly, reason, a))
+        degree_one.append((poly, reason, a, b))
         pair_count += 1
     return rewrites, degree_one
 
@@ -143,14 +143,11 @@ def _exact_terms(poly: Polynomial):
 
 
 def _rendered(result):
-    """The rewrites and degree-1 entries in comparable form.  The grouped
-    generator's entries also carry a composite pair's chain, which the
-    pairwise reference does not compute (``tests/test_lp_reductions.py``
-    checks what the chain is used for)."""
+    """The rewrites and degree-1 entries in comparable form."""
     rewrites, degree_one = result
     return ([(_exact_terms(r.polynomial), r.reason) for r in rewrites],
             [(_exact_terms(poly), reason() if callable(reason) else reason,
-              atom) for poly, reason, atom, *_chain in degree_one])
+              atom, partner) for poly, reason, atom, partner in degree_one])
 
 
 def _distinct_group_pairs(atoms) -> int:
@@ -184,7 +181,10 @@ def _mismatches(pools, budgets=(None,)) -> List[str]:
 
 
 def _record_pools(runs) -> List[Tuple[Context, Tuple[IntervalAtom, ...], int]]:
-    """Every distinct ``_atom_rewrites`` call made by ``runs`` (thunks)."""
+    """Every distinct ``_atom_rewrites`` call made by ``runs`` (thunks).
+    The memos start empty: a ``generate_rewrites`` memo left warm by an
+    earlier test would answer without calling ``_atom_rewrites``."""
+    rewrite.clear_rewrite_caches()
     seen = {}
     original = rewrite._atom_rewrites
 
